@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import Factorization, from_triplets
+from .linalg import from_triplets
 from .material import PronyMaterial
-from .mesh import EdgeInfo, EdgeTag, TriMesh
-from .space import DGSpace, reference_basis
+from .mesh import EdgeTag
+from .space import DGSpace
 
 _SQRT2 = np.sqrt(2.0)
 _EDGE_CHUNK = 4096
@@ -55,44 +55,8 @@ def _trace_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-class _EdgeBatch:
-    """Per-side trace data for a batch of edges of equal arity."""
-
-    def __init__(self, space: DGSpace, edges: list[EdgeInfo]):
-        self.n = len(edges)
-        self.p0 = np.array([space.mesh.vertices[e.endpoints[0]] for e in edges])
-        self.p1 = np.array([space.mesh.vertices[e.endpoints[1]] for e in edges])
-        self.normal = np.array([e.normal for e in edges])
-        self.length = np.array([e.length for e in edges])
-        self.elems = np.array([e.incident for e in edges], dtype=np.int64)
-        s = space.edge_points
-        # physical quadrature points along each edge, (ne, nqe, 2)
-        self.x = self.p0[:, None, :] + s[None, :, None] * (self.p1 - self.p0)[:, None, :]
-
-    def side_traces(self, space: DGSpace, side: int):
-        """Scalar basis values and physical gradients of one incident element.
-
-        Returns (values (ne, nqe, nb), grads (ne, nqe, nb, 2)).
-        """
-        elems = self.elems[:, side]
-        xi = space.reference_coords(elems[:, None], self.x)
-        vals, grads = reference_basis(space.degree, xi.reshape(-1, 2))
-        nqe = self.x.shape[1]
-        vals = vals.reshape(self.n, nqe, -1)
-        grads = grads.reshape(self.n, nqe, -1, 2)
-        gphys = np.einsum("eqia,eab->eqib", grads, space.jac_inv[elems])
-        return vals, gphys
-
-
-def _split_edges(mesh: TriMesh):
-    interior = [e for e in mesh.edges if e.tag == EdgeTag.INTERIOR]
-    dirichlet = [e for e in mesh.edges if e.tag == EdgeTag.DIRICHLET]
-    neumann = [e for e in mesh.edges if e.tag == EdgeTag.NEUMANN]
-    return interior, dirichlet, neumann
-
-
-def average_jump(space: DGSpace, coeffs: np.ndarray, edge: EdgeInfo):
-    """Average of D eps(v), jump [v] and jump [v (x) n] at the edge quadrature points.
+def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
+    """Average of D eps(v), jump [v] and jump [v (x) n] at the quadrature points of one edge.
 
     For an interior edge the jump is trace(E_i) - trace(E_j) with i < j; on a
     boundary edge the average is the single trace and the vector jump is the
@@ -100,26 +64,26 @@ def average_jump(space: DGSpace, coeffs: np.ndarray, edge: EdgeInfo):
     jump_outer (nqe, 2, 2)).  The stress here is with identity D; callers
     needing a material apply its tensor to the strain first.
     """
-    batch = _EdgeBatch(space, [edge])
+    edges = space.mesh.edges
     nb = space.dofs_per_component
+    incident = edges.elems[edge][edges.elems[edge] >= 0]
     traces = []
     stresses = []
-    for side in range(len(edge.incident)):
-        vals, grads = batch.side_traces(space, side)
-        elem = edge.incident[side]
+    for side, elem in enumerate(incident):
+        _, vals, grads = space.edge_traces(np.array([edge]), side)
         c = coeffs.reshape(space.mesh.n_triangles, 2, nb)[elem]
         v = np.einsum("qi,ci->qc", vals[0], c)
         g = np.einsum("qib,ci->qcb", grads[0], c)
         eps = 0.5 * (g + np.swapaxes(g, -1, -2))
         traces.append(v)
         stresses.append(eps)
-    if len(edge.incident) == 2:
+    if len(incident) == 2:
         avg = 0.5 * (stresses[0] + stresses[1])
         jump = traces[0] - traces[1]
     else:
         avg = stresses[0]
         jump = traces[0]
-    jump_outer = jump[..., :, None] * edge.normal[None, None, :]
+    jump_outer = jump[..., :, None] * edges.normal[edge][None, None, :]
     return avg, jump, jump_outer
 
 
@@ -167,14 +131,16 @@ def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr
     )
 
 
-def _edge_matrices(space, material, batch, arity, alpha0, beta0):
-    """Consistency and penalty triplets for one batch of edges.
+def _edge_matrices(space, material, ids, arity, alpha0, beta0):
+    """Consistency and penalty triplets for the edges ``ids``, all of one arity.
 
     Returns (rows, cols, consistency values, penalty values).
     """
     C = material.elastic_voigt
     nd = space.dofs_per_element
     wq = space.edge_weights
+    edges = space.mesh.edges
+    normal, length = edges.normal[ids], edges.length[ids]
     if arity == 2:
         signs = (1.0, -1.0)
         cavg = 0.5
@@ -184,25 +150,25 @@ def _edge_matrices(space, material, batch, arity, alpha0, beta0):
 
     traces, tractions, dofs = [], [], []
     for side in range(arity):
-        vals, grads = batch.side_traces(space, side)
+        _, vals, grads = space.edge_traces(ids, side)
         tr = _trace_values(vals)  # (ne, nq, nd, 2)
         eps = _strain_voigt_basis(grads)
         sig = eps @ C.T
-        tn = _voigt_traction(sig, batch.normal[:, None, None, :])  # (ne, nq, nd, 2)
+        tn = _voigt_traction(sig, normal[:, None, None, :])  # (ne, nq, nd, 2)
         traces.append(tr)
         tractions.append(tn)
-        dofs.append(batch.elems[:, side][:, None] * nd + np.arange(nd)[None, :])
+        dofs.append(edges.elems[ids, side][:, None] * nd + np.arange(nd)[None, :])
 
-    pen = alpha0 / batch.length**beta0
+    pen = alpha0 / length**beta0
     rows, cols, consist, penalty = [], [], [], []
     for r in range(arity):  # test side
         for s in range(arity):  # trial side
             # -int {D eps(v)} : [w (x) n]  - int {D eps(w)} : [v (x) n]
-            t1 = np.einsum("eqaz,eqbz,q,e->eab", traces[r], tractions[s], wq, batch.length)
-            t2 = np.einsum("eqaz,eqbz,q,e->eab", tractions[r], traces[s], wq, batch.length)
+            t1 = np.einsum("eqaz,eqbz,q,e->eab", traces[r], tractions[s], wq, length)
+            t2 = np.einsum("eqaz,eqbz,q,e->eab", tractions[r], traces[s], wq, length)
             kc = -cavg * (signs[r] * t1 + signs[s] * t2)
             kp = np.einsum(
-                "eqaz,eqbz,q,e->eab", traces[r], traces[s], wq, batch.length * pen
+                "eqaz,eqbz,q,e->eab", traces[r], traces[s], wq, length * pen
             ) * (signs[r] * signs[s])
             rows.append(np.broadcast_to(dofs[r][:, :, None], kc.shape).ravel())
             cols.append(np.broadcast_to(dofs[s][:, None, :], kc.shape).ravel())
@@ -217,29 +183,29 @@ def _edge_matrices(space, material, batch, arity, alpha0, beta0):
 
 
 def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0: float):
-    """Full SIPG matrix A and jump-penalty matrix J.
+    """Full SIPG matrix A, jump-penalty matrix J and volume strain energy A_vol.
 
-    A = volume strain energy - symmetrized consistency edge terms + J, with
-    edge terms over interior and Dirichlet edges only.
+    A = A_vol - symmetrized consistency edge terms + J, with edge terms over
+    interior and Dirichlet edges only.
     """
     if alpha0 <= 0:
         raise ValueError("penalty parameter alpha0 must be positive")
     if beta0 < 1:
         raise ValueError("penalty exponent beta0 must be >= 1 in 2D")
     avol = assemble_volume_stiffness(space, material)
-    interior, dirichlet, _ = _split_edges(space.mesh)
 
     n = space.total_dofs
     consist = sp.csr_matrix((n, n))
     jump = sp.csr_matrix((n, n))
-    for edges, arity in ((interior, 2), (dirichlet, 1)):
-        for start in range(0, len(edges), _EDGE_CHUNK):
-            batch = _EdgeBatch(space, edges[start : start + _EDGE_CHUNK])
-            rows, cols, kc, kp = _edge_matrices(space, material, batch, arity, alpha0, beta0)
+    for tag, arity in ((EdgeTag.INTERIOR, 2), (EdgeTag.DIRICHLET, 1)):
+        ids = np.flatnonzero(space.mesh.edges.tag == tag)
+        for start in range(0, len(ids), _EDGE_CHUNK):
+            chunk = ids[start : start + _EDGE_CHUNK]
+            rows, cols, kc, kp = _edge_matrices(space, material, chunk, arity, alpha0, beta0)
             consist = consist + from_triplets(n, rows, cols, kc)
             jump = jump + from_triplets(n, rows, cols, kp)
     A = avol + consist + jump
-    return A.tocsr(), jump.tocsr()
+    return A.tocsr(), jump.tocsr(), avol
 
 
 def assemble_load(space: DGSpace, f=None, g_N=None) -> np.ndarray:
@@ -258,18 +224,14 @@ class LoadAssembler:
         self.space = space
         self.xq = space.physical_quad_points()  # (nt, nq, 2)
         self.wdet = space.elem_weights[None, :] * space.det_jac[:, None]
-        _, _, neumann = _split_edges(space.mesh)
-        self.neumann = neumann
-        if neumann:
-            batch = _EdgeBatch(space, neumann)
-            vals, _ = batch.side_traces(space, 0)
-            self.n_traces = _trace_values(vals)  # (ne, nq, nd, 2)
-            self.n_x = batch.x
-            self.n_w = space.edge_weights[None, :] * batch.length[:, None]
-            self.n_normal = batch.normal
-            self.n_dofs = batch.elems[:, 0][:, None] * space.dofs_per_element + np.arange(
-                space.dofs_per_element
-            )
+        edges = space.mesh.edges
+        self.neumann = np.flatnonzero(edges.tag == EdgeTag.NEUMANN)
+        self.n_x, vals, _ = space.edge_traces(self.neumann, 0)
+        self.n_traces = _trace_values(vals)  # (ne, nq, nd, 2)
+        self.n_w = space.edge_weights[None, :] * edges.length[self.neumann][:, None]
+        self.n_normal = edges.normal[self.neumann]
+        nd = space.dofs_per_element
+        self.n_dofs = edges.elems[self.neumann, 0][:, None] * nd + np.arange(nd)
 
     def assemble(self, f=None, g_N=None) -> np.ndarray:
         space = self.space
@@ -283,7 +245,7 @@ class LoadAssembler:
             )
             loc = np.einsum("tqc,tq,qi->tci", fvals, self.wdet, space.ref_values)
             out += loc.reshape(space.mesh.n_triangles, 2 * nb).ravel()
-        if g_N is not None and self.neumann:
+        if g_N is not None and len(self.neumann):
             gx, gy = g_N(self.n_x[..., 0], self.n_x[..., 1], self.n_normal[:, None, :])
             gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)
             loc = np.einsum("eqz,eqaz,eq->ea", gvals, self.n_traces, self.n_w)
@@ -307,8 +269,8 @@ def assemble_elliptic_rhs(
 
     # volume term: int D eps(u0) : eps(phi)
     xq = space.physical_quad_points()
-    g = _grad_array(grad_u0, xq)  # (nt, nq, 2, 2)
-    eps0 = _voigt_of_grad(g)
+    g = grad_array(grad_u0, xq)  # (nt, nq, 2, 2)
+    eps0 = voigt_strain(g)
     sig0 = eps0 @ C.T
     gp = np.einsum("qia,tab->tqib", space.ref_grads, space.jac_inv)
     epsb = _strain_voigt_basis(gp)
@@ -317,43 +279,41 @@ def assemble_elliptic_rhs(
     )
     out += loc.ravel()
 
-    interior, dirichlet, _ = _split_edges(space.mesh)
+    edges = space.mesh.edges
     wq = space.edge_weights
+    interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
+    dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
 
     # - int {D eps(u0)} : [phi (x) n] over interior and Dirichlet edges
-    for edges, arity in ((interior, 2), (dirichlet, 1)):
-        if not edges:
-            continue
-        batch = _EdgeBatch(space, edges)
-        g_e = _grad_array(grad_u0, batch.x)
-        sig_e = _voigt_of_grad(g_e) @ C.T
-        tn0 = _voigt_traction(sig_e, batch.normal[:, None, :])  # (ne, nq, 2)
-        signs = (1.0, -1.0) if arity == 2 else (1.0,)
-        for side in range(arity):
-            vals, _ = batch.side_traces(space, side)
+    for ids, signs in ((interior, (1.0, -1.0)), (dirichlet, (1.0,))):
+        length = edges.length[ids]
+        for side, sign in enumerate(signs):
+            x, vals, _ = space.edge_traces(ids, side)
+            if side == 0:
+                sig_e = voigt_strain(grad_array(grad_u0, x)) @ C.T
+                tn0 = _voigt_traction(sig_e, edges.normal[ids][:, None, :])  # (ne, nq, 2)
             tr = _trace_values(vals)
-            loc = -signs[side] * np.einsum("eqz,eqaz,q,e->ea", tn0, tr, wq, batch.length)
-            dofs = batch.elems[:, side][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
+            loc = -sign * np.einsum("eqz,eqaz,q,e->ea", tn0, tr, wq, length)
+            dofs = edges.elems[ids, side][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
             np.add.at(out, dofs.ravel(), loc.ravel())
 
     # Dirichlet-only terms in the trace of u0 itself
-    if dirichlet:
-        batch = _EdgeBatch(space, dirichlet)
-        ux, uy = u0(batch.x[..., 0], batch.x[..., 1])
-        uvals = np.stack(np.broadcast_arrays(ux, uy), axis=-1)  # (ne, nq, 2)
-        vals, grads = batch.side_traces(space, 0)
-        tr = _trace_values(vals)
-        eps_b = _strain_voigt_basis(grads)
-        tn_b = _voigt_traction(eps_b @ C.T, batch.normal[:, None, None, :])
-        pen = alpha0 / batch.length**beta0
-        loc = -np.einsum("eqaz,eqz,q,e->ea", tn_b, uvals, wq, batch.length)
-        loc += np.einsum("eqz,eqaz,q,e->ea", uvals, tr, wq, batch.length * pen)
-        dofs = batch.elems[:, 0][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
-        np.add.at(out, dofs.ravel(), loc.ravel())
+    normal, length = edges.normal[dirichlet], edges.length[dirichlet]
+    x, vals, grads = space.edge_traces(dirichlet, 0)
+    ux, uy = u0(x[..., 0], x[..., 1])
+    uvals = np.stack(np.broadcast_arrays(ux, uy), axis=-1)  # (ne, nq, 2)
+    tr = _trace_values(vals)
+    eps_b = _strain_voigt_basis(grads)
+    tn_b = _voigt_traction(eps_b @ C.T, normal[:, None, None, :])
+    pen = alpha0 / length**beta0
+    loc = -np.einsum("eqaz,eqz,q,e->ea", tn_b, uvals, wq, length)
+    loc += np.einsum("eqz,eqaz,q,e->ea", uvals, tr, wq, length * pen)
+    dofs = edges.elems[dirichlet, 0][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
+    np.add.at(out, dofs.ravel(), loc.ravel())
     return out
 
 
-def _grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
+def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
     """Evaluate a gradient callable on point arrays, returning (..., 2, 2)."""
     g = grad_u0(x[..., 0], x[..., 1])
     g = np.asarray(g, dtype=float)
@@ -362,7 +322,7 @@ def _grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(g, x.shape[:-1] + (2, 2))
 
 
-def _voigt_of_grad(g: np.ndarray) -> np.ndarray:
+def voigt_strain(g: np.ndarray) -> np.ndarray:
     """Voigt strain from gradient arrays (..., 2, 2) with [component, derivative]."""
     e11 = g[..., 0, 0]
     e22 = g[..., 1, 1]
@@ -381,19 +341,18 @@ class AssembledSystem:
     A_vol: sp.csr_matrix  # element strain-energy part (for energy norms)
     alpha0: float
     beta0: float
-    step_factorization: Factorization | None = None
 
 
 def assemble_system(
     space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
 ) -> AssembledSystem:
-    A, J = assemble_sipg(space, material, alpha0, beta0)
+    A, J, A_vol = assemble_sipg(space, material, alpha0, beta0)
     return AssembledSystem(
         M=assemble_mass(space, material.rho),
         M0=assemble_mass(space, 1.0),
         A=A,
         J=J,
-        A_vol=assemble_volume_stiffness(space, material),
+        A_vol=A_vol,
         alpha0=alpha0,
         beta0=beta0,
     )

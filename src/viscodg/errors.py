@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, _EdgeBatch, _split_edges, _voigt_of_grad
+from .assembly import AssembledSystem, grad_array, voigt_strain
 from .material import PronyMaterial
+from .mesh import EdgeTag
 from .space import DGSpace
 from .stepper import State
 
@@ -59,46 +60,33 @@ def _field_error_norms(
     dy = np.broadcast_to(ey, uh.shape[:-1]) - uh[..., 1]
     l2_sq = float(np.sum(wdet * (dx * dx + dy * dy)))
 
-    g = np.asarray(grad_exact(xq[..., 0], xq[..., 1]), dtype=float)
-    if g.shape[:2] == (2, 2):
-        g = np.moveaxis(g, (0, 1), (-2, -1))
-    g = np.broadcast_to(g, uh.shape[:-1] + (2, 2))
     gh = space.evaluate_gradients(coeffs)
-    dg = g - gh
+    dg = grad_array(grad_exact, xq) - gh
     h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
 
     C = material.elastic_voigt
-    deps = _voigt_of_grad(dg)
+    deps = voigt_strain(dg)
     sig = deps @ C.T
     energy_sq = float(np.sum(wdet * np.sum(sig * deps, axis=-1)))
 
     # jump penalty of the error over interior and Dirichlet edges
-    interior, dirichlet, _ = _split_edges(space.mesh)
-    nb = space.dofs_per_component
-    cshape = coeffs.reshape(space.mesh.n_triangles, 2, nb)
-    for edges, arity in ((interior, 2), (dirichlet, 1)):
-        if not edges:
-            continue
-        batch = _EdgeBatch(space, edges)
-        jump = np.zeros(batch.x.shape)
-        if arity == 2:
+    edges = space.mesh.edges
+    cshape = coeffs.reshape(space.mesh.n_triangles, 2, space.dofs_per_component)
+    for tag in (EdgeTag.INTERIOR, EdgeTag.DIRICHLET):
+        ids = np.flatnonzero(edges.tag == tag)
+        x, vals, _ = space.edge_traces(ids, 0)
+        jump = -np.einsum("eqi,eci->eqc", vals, cshape[edges.elems[ids, 0]])
+        if tag == EdgeTag.INTERIOR:
             # exact field is continuous: only the discrete jump contributes
-            signs = (1.0, -1.0)
-            for side in range(2):
-                vals, _ = batch.side_traces(space, side)
-                tr = np.einsum("eqi,eci->eqc", vals, cshape[batch.elems[:, side]])
-                jump -= signs[side] * tr
+            _, vals, _ = space.edge_traces(ids, 1)
+            jump += np.einsum("eqi,eci->eqc", vals, cshape[edges.elems[ids, 1]])
         else:
-            ex_b, ey_b = exact(batch.x[..., 0], batch.x[..., 1])
-            vals, _ = batch.side_traces(space, 0)
-            tr = np.einsum("eqi,eci->eqc", vals, cshape[batch.elems[:, 0]])
-            jump[..., 0] = np.broadcast_to(ex_b, tr.shape[:-1]) - tr[..., 0]
-            jump[..., 1] = np.broadcast_to(ey_b, tr.shape[:-1]) - tr[..., 1]
-        pen = system.alpha0 / batch.length**system.beta0
+            ex_b, ey_b = exact(x[..., 0], x[..., 1])
+            jump += np.stack(np.broadcast_arrays(ex_b, ey_b), axis=-1)
+        length = edges.length[ids]
+        pen = system.alpha0 / length**system.beta0
         energy_sq += float(
-            np.einsum(
-                "eq,q,e->", np.sum(jump * jump, axis=-1), space.edge_weights, batch.length * pen
-            )
+            np.einsum("eq,q,e->", np.sum(jump * jump, axis=-1), space.edge_weights, length * pen)
         )
 
     return np.sqrt(l2_sq), np.sqrt(h1_sq), np.sqrt(energy_sq)

@@ -2,9 +2,7 @@
 
 Thin layer over scipy.sparse.  The step matrix of the time integrator is
 constant in time, so the intended usage is factor once per run and reuse.
-The direct factorization is SuperLU; a Jacobi-preconditioned conjugate
-gradient serves as fallback for systems where the factorization is
-impractical.
+The factorization is SuperLU, and every solve is checked by its residual.
 """
 
 from dataclasses import dataclass
@@ -13,11 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_SOLVE_RTOL = 1e-10
-
 
 class SolverError(RuntimeError):
-    """Factorization breakdown or iterative non-convergence."""
+    """Factorization breakdown or a solve whose residual is too large."""
 
 
 def from_triplets(n: int, rows, cols, values) -> sp.csr_matrix:
@@ -37,30 +33,16 @@ class Factorization:
     """Reusable factorization of an SPD matrix."""
 
     matrix: sp.csr_matrix
-    _lu: spla.SuperLU | None
+    _lu: spla.SuperLU
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            x = self._lu.solve(b)
-        else:
-            x = _pcg(self.matrix, b)
+        x = self._lu.solve(b)
         nb = np.linalg.norm(b)
         if nb > 0:
             res = np.linalg.norm(self.matrix @ x - b) / nb
             if not np.isfinite(res) or res > 1e-8:
                 raise SolverError(f"solve residual {res:.3e} exceeds tolerance; matrix may not be SPD")
         return x
-
-
-def _pcg(K: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    d = K.diagonal()
-    if np.any(d <= 0):
-        raise SolverError("nonpositive diagonal entry; matrix is not SPD")
-    M = sp.diags(1.0 / d)
-    x, info = spla.cg(K, b, rtol=_SOLVE_RTOL, maxiter=10 * K.shape[0], M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradients did not converge (info={info})")
-    return x
 
 
 def factor(K: sp.csr_matrix) -> Factorization:
@@ -71,12 +53,3 @@ def factor(K: sp.csr_matrix) -> Factorization:
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     return Factorization(K.tocsr(), lu)
-
-
-def solve_with(F: Factorization, b: np.ndarray) -> np.ndarray:
-    return F.solve(b)
-
-
-def spd_solve(K: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """One-shot SPD solve with relative residual <= 1e-10."""
-    return factor(K).solve(b)

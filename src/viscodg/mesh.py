@@ -2,66 +2,72 @@
 
 The solver needs, beyond vertices and triangles, a full description of every
 edge: which element(s) it belongs to, a consistently oriented unit normal,
-its length, and a boundary tag.  The convention used throughout is that the
-normal of an interior edge shared by triangles ``i < j`` points from ``i``
-to ``j``, and boundary normals point out of the domain.
+its length, and a boundary tag.  Edges are stored as one struct of arrays,
+sorted by their (ascending) vertex pair.  The convention used throughout is
+that the normal of an interior edge shared by triangles ``i < j`` points from
+``i`` to ``j``, and boundary normals point out of the domain.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
 # geometric tolerance for boundary classification of imported meshes
 _BOUNDARY_TOL = 1e-12
+# twice the area of a triangle, relative to its squared sides, below which it is degenerate
+_DEGENERATE_TOL = 1e-12
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-class EdgeTag(Enum):
-    INTERIOR = "interior"
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
+class EdgeTag(IntEnum):
+    INTERIOR = 0
+    DIRICHLET = 1
+    NEUMANN = 2
 
 
 @dataclass(frozen=True)
-class EdgeInfo:
-    """One mesh edge: endpoints, incident triangles, normal, length, tag."""
+class Edges:
+    """Edge topology as arrays, one row per edge."""
 
-    endpoints: tuple[int, int]
-    incident: tuple[int, ...]  # 1 or 2 triangle indices, ascending
-    normal: np.ndarray  # unit 2-vector
-    length: float
-    tag: EdgeTag
+    vertices: np.ndarray  # (ne, 2) endpoint vertex ids, ascending
+    elems: np.ndarray  # (ne, 2) incident triangles, ascending; -1 in column 1 on the boundary
+    normal: np.ndarray  # (ne, 2) unit normals
+    length: np.ndarray  # (ne,)
+    tag: np.ndarray  # (ne,) EdgeTag values
 
-    @property
-    def is_boundary(self) -> bool:
-        return len(self.incident) == 1
+    def __len__(self) -> int:
+        return len(self.length)
 
 
 @dataclass(frozen=True)
 class TriMesh:
     """Conforming triangulation with precomputed edge topology.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  Raises
+    ValueError for a degenerate triangle or a mesh without Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
     triangles: np.ndarray  # (nt, 3) vertex indices, counterclockwise
-    edges: list[EdgeInfo]
     n_subdivisions: int
+    edges: Edges = field(init=False)
     h: float = field(init=False)
 
     def __post_init__(self):
-        diam = 0.0
-        for tri in self.triangles:
-            p = self.vertices[tri]
-            for a in range(3):
-                d = np.linalg.norm(p[a] - p[(a + 1) % 3])
-                diam = max(diam, d)
-        object.__setattr__(self, "h", diam)
+        p = self.vertices[self.triangles]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        bad = np.flatnonzero(area2 <= _DEGENERATE_TOL * np.sum(e1 * e1 + e2 * e2, axis=-1))
+        if bad.size:
+            t = bad[0]
+            raise ValueError(
+                f"triangle {t} (vertices {self.triangles[t].tolist()}) has zero or negative area"
+            )
+        edges = _build_edges(self.vertices, self.triangles)
+        if not np.any(edges.tag == EdgeTag.DIRICHLET):
+            raise ValueError("mesh has no Dirichlet edge on x=0 or y=0; the SIPG form is singular")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "h", float(edges.length.max()))
 
     @property
     def n_vertices(self) -> int:
@@ -71,52 +77,42 @@ class TriMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_area(self, t: int) -> float:
-        p = self.vertices[self.triangles[t]]
-        return 0.5 * abs(_cross2(p[1] - p[0], p[2] - p[0]))
 
-    def triangle_centroid(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]].mean(axis=0)
+def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> Edges:
+    # side a of every triangle joins local vertices a and a+1 (mod 3)
+    sides = np.sort(np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1), axis=-1)
+    pairs, edge_of_side, counts = np.unique(
+        sides.reshape(-1, 2), axis=0, return_inverse=True, return_counts=True
+    )
+    if counts.max() > 2:
+        e = int(np.argmax(counts))
+        raise ValueError(f"edge {tuple(pairs[e].tolist())} shared by {counts[e]} triangles")
 
+    # a stable sort keeps each edge's triangles in ascending order
+    owner = np.argsort(edge_of_side.ravel(), kind="stable") // 3
+    first = np.cumsum(counts) - counts
+    interior = counts == 2
+    elems = np.full((len(pairs), 2), -1, dtype=np.int64)
+    elems[:, 0] = owner[first]
+    elems[interior, 1] = owner[first[interior] + 1]
 
-def _classify_boundary_edge(p0: np.ndarray, p1: np.ndarray) -> EdgeTag:
+    p0, p1 = vertices[pairs[:, 0]], vertices[pairs[:, 1]]
+    tangent = p1 - p0
+    # a dot product per row rounds like np.linalg.norm of each tangent, so
+    # lengths (and the assembled matrices) do not depend on the batching
+    length = np.sqrt((tangent[:, None, :] @ tangent[:, :, None]).ravel())
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
+    # orient from the lower-index triangle to the higher one, or out of the domain
+    centroid = vertices[triangles].mean(axis=1)
     mid = 0.5 * (p0 + p1)
-    if mid[0] < _BOUNDARY_TOL or mid[1] < _BOUNDARY_TOL:
-        return EdgeTag.DIRICHLET
-    return EdgeTag.NEUMANN
+    away = np.where(interior[:, None], centroid[elems[:, 1]], mid) - centroid[elems[:, 0]]
+    normal[np.sum(normal * away, axis=-1) < 0] *= -1.0
 
-
-def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> list[EdgeInfo]:
-    incidence: dict[tuple[int, int], list[int]] = {}
-    for t, tri in enumerate(triangles):
-        for a in range(3):
-            key = tuple(sorted((int(tri[a]), int(tri[(a + 1) % 3]))))
-            incidence.setdefault(key, []).append(t)
-
-    edges = []
-    for (v0, v1), tris in sorted(incidence.items()):
-        p0, p1 = vertices[v0], vertices[v1]
-        tangent = p1 - p0
-        length = float(np.linalg.norm(tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        tris = sorted(tris)
-        if len(tris) == 2:
-            # orient from the lower-index to the higher-index triangle
-            c_i = vertices[triangles[tris[0]]].mean(axis=0)
-            c_j = vertices[triangles[tris[1]]].mean(axis=0)
-            if np.dot(normal, c_j - c_i) < 0:
-                normal = -normal
-            tag = EdgeTag.INTERIOR
-        elif len(tris) == 1:
-            centroid = vertices[triangles[tris[0]]].mean(axis=0)
-            mid = 0.5 * (p0 + p1)
-            if np.dot(normal, mid - centroid) < 0:
-                normal = -normal
-            tag = _classify_boundary_edge(p0, p1)
-        else:
-            raise ValueError(f"edge {(v0, v1)} shared by {len(tris)} triangles")
-        edges.append(EdgeInfo((v0, v1), tuple(tris), normal, length, tag))
-    return edges
+    dirichlet = (mid[:, 0] < _BOUNDARY_TOL) | (mid[:, 1] < _BOUNDARY_TOL)
+    tag = np.where(
+        interior, EdgeTag.INTERIOR, np.where(dirichlet, EdgeTag.DIRICHLET, EdgeTag.NEUMANN)
+    )
+    return Edges(pairs, elems, normal, length, tag)
 
 
 def build_structured_mesh(n: int) -> TriMesh:
@@ -132,41 +128,15 @@ def build_structured_mesh(n: int) -> TriMesh:
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            a = vid(ix, iy)
-            b = vid(ix + 1, iy)
-            c = vid(ix + 1, iy + 1)
-            d = vid(ix, iy + 1)
-            triangles.append((a, b, c))  # lower-right triangle
-            triangles.append((a, c, d))  # upper-left triangle
-    triangles = np.array(triangles, dtype=np.int64)
-
-    edges = _build_edges(vertices, triangles)
-    return TriMesh(vertices, triangles, edges, n)
-
-
-def element_geometry(mesh: TriMesh, t: int):
-    """Area, edge lengths and outward unit normals of triangle ``t``.
-
-    Edge ``a`` runs from local vertex ``a`` to ``a+1`` (mod 3).
-    """
-    if not 0 <= t < mesh.n_triangles:
-        raise IndexError(f"triangle index {t} out of range")
-    p = mesh.vertices[mesh.triangles[t]]
-    area = 0.5 * _cross2(p[1] - p[0], p[2] - p[0])
-    lengths = np.empty(3)
-    normals = np.empty((3, 2))
-    for a in range(3):
-        tangent = p[(a + 1) % 3] - p[a]
-        lengths[a] = np.linalg.norm(tangent)
-        # CCW orientation puts the outward normal to the right of the tangent
-        normals[a] = np.array([tangent[1], -tangent[0]]) / lengths[a]
-    return area, lengths, normals
+    # cells row by row; a, b, c, d are the lower-left, lower-right,
+    # upper-right and upper-left corners
+    iy, ix = np.divmod(np.arange(n * n), n)
+    a = iy * (n + 1) + ix
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    lower_right = np.stack([a, b, c], axis=-1)
+    upper_left = np.stack([a, c, d], axis=-1)
+    triangles = np.stack([lower_right, upper_left], axis=1).reshape(-1, 3).astype(np.int64)
+    return TriMesh(vertices, triangles, n)
 
 
 def read_mesh(text: str) -> TriMesh:
@@ -187,9 +157,8 @@ def read_mesh(text: str) -> TriMesh:
     if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex index out of range")
     # enforce CCW orientation
-    for i, tri in enumerate(tris):
-        p = vertices[tri]
-        if _cross2(p[1] - p[0], p[2] - p[0]) < 0:
-            tris[i] = tri[[0, 2, 1]]
-    edges = _build_edges(vertices, tris)
-    return TriMesh(vertices, tris, edges, 0)
+    p = vertices[tris]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    clockwise = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    return TriMesh(vertices, tris, 0)

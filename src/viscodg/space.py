@@ -179,6 +179,25 @@ class DGSpace:
         d = x - self.v0[elems]
         return np.einsum("...ab,...b->...a", self.jac_inv[elems], d)
 
+    def edge_traces(self, edge_ids: np.ndarray, side: int):
+        """Traces on one incident element (``side`` 0 or 1) of the given edges.
+
+        Returns the physical quadrature points (ne, nqe, 2), the scalar basis
+        values (ne, nqe, nb) and their physical gradients (ne, nqe, nb, 2).
+        """
+        edges = self.mesh.edges
+        p = self.mesh.vertices[edges.vertices[edge_ids]]  # (ne, 2, 2)
+        p0, p1 = p[:, 0], p[:, 1]
+        x = p0[:, None, :] + self.edge_points[None, :, None] * (p1 - p0)[:, None, :]
+        elems = edges.elems[edge_ids, side]
+        xi = self.reference_coords(elems[:, None], x)
+        vals, grads = reference_basis(self.degree, xi.reshape(-1, 2))
+        shape = x.shape[:2] + (self.dofs_per_component,)
+        vals = vals.reshape(shape)
+        grads = grads.reshape(shape + (2,))
+        gphys = np.einsum("eqia,eab->eqib", grads, self.jac_inv[elems])
+        return x, vals, gphys
+
     def interpolate(self, field) -> np.ndarray:
         """Nodal interpolant of a callable ``field(x, y) -> (2,)-like``.
 

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .assembly import AssembledSystem, LoadAssembler, assemble_elliptic_rhs
-from .linalg import factor
+from .linalg import Factorization, factor
 from .material import PronyMaterial
 from .space import DGSpace
 
@@ -98,18 +98,20 @@ def step_matrix(system: AssembledSystem, coeffs: SchemeCoefficients, scheme: Sch
 
 
 def step_displacement(
-    state: State, system: AssembledSystem, coeffs: SchemeCoefficients, f_avg: np.ndarray
+    state: State,
+    system: AssembledSystem,
+    coeffs: SchemeCoefficients,
+    f_avg: np.ndarray,
+    K: Factorization,
 ) -> State:
     """One Crank-Nicolson step of the displacement-form scheme.
 
-    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2.
+    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2 and ``K`` the
+    factorization of ``step_matrix(system, coeffs, Scheme.DISPLACEMENT)``.
     """
     if state.scheme != Scheme.DISPLACEMENT:
         raise ValueError("state does not belong to the displacement scheme")
     dt = coeffs.dt
-    K = system.step_factorization
-    if K is None:
-        K = system.step_factorization = factor(step_matrix(system, coeffs, state.scheme))
     rhs = (
         f_avg
         + (2.0 / dt**2) * (system.M @ state.U)
@@ -129,18 +131,20 @@ def step_displacement(
 
 
 def step_velocity(
-    state: State, system: AssembledSystem, coeffs: SchemeCoefficients, f_avg: np.ndarray
+    state: State,
+    system: AssembledSystem,
+    coeffs: SchemeCoefficients,
+    f_avg: np.ndarray,
+    K: Factorization,
 ) -> State:
     """One Crank-Nicolson step of the velocity-form scheme.
 
-    ``f_avg`` must already include the exp-decaying a(u0, v) load term.
+    ``f_avg`` must already include the exp-decaying a(u0, v) load term, and
+    ``K`` is the factorization of ``step_matrix(system, coeffs, Scheme.VELOCITY)``.
     """
     if state.scheme != Scheme.VELOCITY:
         raise ValueError("state does not belong to the velocity scheme")
     dt = coeffs.dt
-    K = system.step_factorization
-    if K is None:
-        K = system.step_factorization = factor(step_matrix(system, coeffs, state.scheme))
     rhs = (
         f_avg
         + (2.0 / dt**2) * (system.M @ state.U)
@@ -177,15 +181,14 @@ def run(
 
     ``body_force(t)`` and ``traction(t)`` return fields bound to one time
     level (or None for homogeneous loads).  ``diagnostics(state)`` is called
-    at every time level when given.  The step matrix is factored on the
-    first step and reused.
+    at every time level when given.  The step matrix is factored once, after
+    the first ``diagnostics`` call, and reused for every step.
     """
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
 
     coeffs = SchemeCoefficients.build(material, dt)
-    system.step_factorization = None
     state = initialize(system, space, material, u0, grad_u0, w0, scheme)
 
     loads = LoadAssembler(space)
@@ -211,9 +214,10 @@ def run(
 
     if diagnostics is not None:
         diagnostics(state)
+    K = factor(step_matrix(system, coeffs, scheme))
     for n in range(n_steps):
         f_next = load_at((n + 1) * dt)
-        state = step(state, system, coeffs, 0.5 * (f_prev + f_next))
+        state = step(state, system, coeffs, 0.5 * (f_prev + f_next), K)
         f_prev = f_next
         if diagnostics is not None:
             diagnostics(state)

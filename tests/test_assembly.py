@@ -9,7 +9,6 @@ from viscodg.assembly import (
     assemble_system,
     assemble_volume_stiffness,
     average_jump,
-    _split_edges,
 )
 from viscodg.linalg import factor
 from viscodg.material import PronyMaterial
@@ -107,20 +106,19 @@ def test_translation_penalty_energy(case):
         space = DGSpace.build(mesh, 1)
         system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
         v = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-        n_dirichlet = sum(1 for e in mesh.edges if e.tag == EdgeTag.DIRICHLET)
+        n_dirichlet = np.sum(mesh.edges.tag == EdgeTag.DIRICHLET)
         assert n_dirichlet == 2 * n
         expected = 10.0 * n_dirichlet
         assert abs(v @ (system.A @ v) - expected) < 1e-10
         # brute-force edge-loop oracle for the same quantity
         brute = 0.0
-        for e in mesh.edges:
-            if e.tag == EdgeTag.NEUMANN:
-                continue
+        for e in np.flatnonzero(mesh.edges.tag != EdgeTag.NEUMANN):
             _, jump, _ = average_jump(space, v, e)
+            length = mesh.edges.length[e]
             brute += (
                 10.0
-                / e.length
-                * e.length
+                / length
+                * length
                 * float(np.sum(space.edge_weights * np.sum(jump * jump, axis=-1)))
             )
         assert abs(v @ (system.A @ v) - brute) < 1e-10
@@ -128,8 +126,8 @@ def test_translation_penalty_energy(case):
 
 def test_penalty_scaling_linearity(case, small_setup):
     _, space, _ = small_setup
-    A1, J1 = assemble_sipg(space, case.material, 10.0, 1.0)
-    A2, J2 = assemble_sipg(space, case.material, 20.0, 1.0)
+    A1, J1, _ = assemble_sipg(space, case.material, 10.0, 1.0)
+    A2, J2, _ = assemble_sipg(space, case.material, 20.0, 1.0)
     assert abs((A2 - A1 - J1).toarray()).max() < 1e-12
     assert abs((J2 - 2.0 * J1).toarray()).max() < 1e-12
 
@@ -137,9 +135,9 @@ def test_penalty_scaling_linearity(case, small_setup):
 def test_average_jump_continuous_field(case, small_setup):
     mesh, space, _ = small_setup
     v = space.interpolate(lambda x, y: (x + 2 * y, 3 * x - y))
-    for e in mesh.edges:
+    for e in range(len(mesh.edges)):
         avg, jump, jump_outer = average_jump(space, v, e)
-        if e.tag == EdgeTag.INTERIOR:
+        if mesh.edges.tag[e] == EdgeTag.INTERIOR:
             assert np.abs(jump).max() < 1e-13
             assert np.abs(jump_outer).max() < 1e-13
         # eps of (x+2y, 3x-y) is [[1, 2.5], [2.5, -1]] everywhere
@@ -154,11 +152,10 @@ def test_average_jump_discontinuous_field(small_setup):
     t = 0
     nb = space.dofs_per_component
     v2[t * 2 * nb : t * 2 * nb + nb] += 1.0  # shift x-component on element 0
-    for e in mesh.edges:
-        if e.tag != EdgeTag.INTERIOR or t not in e.incident:
-            continue
+    elems = mesh.edges.elems
+    for e in np.flatnonzero((mesh.edges.tag == EdgeTag.INTERIOR) & np.any(elems == t, axis=1)):
         _, jump, _ = average_jump(space, v2, e)
-        sign = 1.0 if e.incident[0] == t else -1.0
+        sign = 1.0 if elems[e, 0] == t else -1.0
         assert np.allclose(jump[:, 0], sign * 1.0, atol=1e-13)
         assert np.abs(jump[:, 1]).max() < 1e-13
 
@@ -215,15 +212,14 @@ def test_sipg_identity_with_average_jump(case, small_setup, rng):
     v = rng.standard_normal(space.total_dofs)
     edge_term = 0.0
     penalty = 0.0
-    for e in mesh.edges:
-        if e.tag == EdgeTag.NEUMANN:
-            continue
+    for e in np.flatnonzero(mesh.edges.tag != EdgeTag.NEUMANN):
         avg, jump, jump_outer = average_jump(space, v, e)
-        w = space.edge_weights * e.length
+        length = mesh.edges.length[e]
+        w = space.edge_weights * length
         edge_term += float(np.einsum("q,qab,qab->", w, avg, jump_outer))
         penalty += (
             system.alpha0
-            / e.length
+            / length
             * float(np.sum(w * np.sum(jump * jump, axis=-1)))
         )
     quad = v @ (system.A_vol @ v) - 2.0 * edge_term + penalty
@@ -243,5 +239,6 @@ def test_assembled_system_contents(case, small_setup):
 
 def test_edge_split_covers_all(small_setup):
     mesh, _, _ = small_setup
-    interior, dirichlet, neumann = _split_edges(mesh)
-    assert len(interior) + len(dirichlet) + len(neumann) == len(mesh.edges)
+    counts = [np.sum(mesh.edges.tag == tag) for tag in EdgeTag]
+    assert sum(counts) == len(mesh.edges)
+    assert min(counts) > 0

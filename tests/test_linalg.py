@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscodg.linalg import SolverError, factor, from_triplets, solve_with, spd_solve
+from viscodg.linalg import SolverError, factor, from_triplets
 
 
 def test_from_triplets_sums_duplicates():
@@ -36,20 +36,13 @@ def test_factor_solve_roundtrip(rng):
     K = _random_spd(30, rng)
     b = rng.standard_normal(30)
     F = factor(K)
-    x = solve_with(F, b)
+    x = F.solve(b)
     assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-10
     # reuse for several right-hand sides
     for _ in range(3):
         b = rng.standard_normal(30)
         x = F.solve(b)
         assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-10
-
-
-def test_spd_solve(rng):
-    K = _random_spd(12, rng)
-    b = rng.standard_normal(12)
-    x = spd_solve(K, b)
-    assert np.allclose(K @ x, b, atol=1e-9)
 
 
 def test_zero_rhs(rng):
@@ -61,7 +54,7 @@ def test_zero_rhs(rng):
 def test_singular_matrix_raises():
     K = sp.csr_matrix(np.zeros((4, 4)))
     with pytest.raises(SolverError):
-        spd_solve(K, np.ones(4))
+        factor(K).solve(np.ones(4))
 
 
 def test_residual_guard_catches_breakdown(rng):

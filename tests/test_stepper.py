@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from viscodg.assembly import AssembledSystem
+from viscodg.linalg import factor
 from viscodg.material import PronyMaterial, internal_kernel_constant_history
 from viscodg.stepper import (
     Scheme,
@@ -53,7 +54,7 @@ def test_crank_nicolson_exact_for_quadratic():
         (Scheme.DISPLACEMENT, step_displacement),
         (Scheme.VELOCITY, step_velocity),
     ):
-        system.step_factorization = None
+        K = factor(step_matrix(system, co, scheme))
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
         for n in range(16):
 
@@ -61,7 +62,7 @@ def test_crank_nicolson_exact_for_quadratic():
                 return 2.0 + t * t
 
             f_avg = np.array([0.5 * (f(n * dt) + f((n + 1) * dt))])
-            state = step(state, system, co, f_avg)
+            state = step(state, system, co, f_avg, K)
         assert abs(state.t - 2.0) < 1e-14
         assert abs(state.U[0] - 4.0) < 1e-12
         assert abs(state.W[0] - 4.0) < 1e-12
@@ -81,11 +82,13 @@ def test_step_scheme_mismatch_rejected(case):
     system = _scalar_system()
     co = SchemeCoefficients.build(PronyMaterial(1.0, 1.0, (), ()), 0.1)
     state = State(0, 0.0, np.zeros(1), np.zeros(1), [], Scheme.VELOCITY)
+    K = factor(step_matrix(system, co, Scheme.DISPLACEMENT))
     with pytest.raises(ValueError):
-        step_displacement(state, system, co, np.zeros(1))
+        step_displacement(state, system, co, np.zeros(1), K)
     state = State(0, 0.0, np.zeros(1), np.zeros(1), [], Scheme.DISPLACEMENT)
+    K = factor(step_matrix(system, co, Scheme.VELOCITY))
     with pytest.raises(ValueError):
-        step_velocity(state, system, co, np.zeros(1))
+        step_velocity(state, system, co, np.zeros(1), K)
 
 
 def test_internal_recurrence_accuracy(case):
