@@ -208,15 +208,6 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     return A.tocsr(), jump.tocsr(), avol
 
 
-def assemble_load(space: DGSpace, f=None, g_N=None) -> np.ndarray:
-    """Load vector of (f, v) + (g_N, v)_{Gamma_N} for fields bound to one time.
-
-    ``f(x, y) -> (fx, fy)`` over the domain, ``g_N(x, y) -> (gx, gy)`` on the
-    Neumann boundary; either may be None.
-    """
-    return LoadAssembler(space).assemble(f, g_N)
-
-
 class LoadAssembler:
     """Caches quadrature geometry so per-step load assembly is cheap."""
 
@@ -234,6 +225,11 @@ class LoadAssembler:
         self.n_dofs = edges.elems[self.neumann, 0][:, None] * nd + np.arange(nd)
 
     def assemble(self, f=None, g_N=None) -> np.ndarray:
+        """Load vector of (f, v) + (g_N, v)_{Gamma_N} for fields bound to one time.
+
+        ``f(x, y) -> (fx, fy)`` over the domain, ``g_N(x, y, n) -> (gx, gy)``
+        on the Neumann boundary; either may be None.
+        """
         space = self.space
         nb = space.dofs_per_component
         out = np.zeros(space.total_dofs)

@@ -95,6 +95,41 @@ def _parse_dt(text: str):
     return _parse_number(text)
 
 
+def _comma_list(parse, kind=list):
+    return lambda text: kind(parse(v) for v in text.split(","))
+
+
+# config key -> (StudyConfig field, parser of the value text); command-line
+# flags are stored under the same keys
+_KEYS = {
+    "study": ("study", str),
+    "scheme": ("scheme", str),
+    "k": ("k", int),
+    "n": ("ns", lambda text: [int(text)]),
+    "ns": ("ns", _comma_list(int)),
+    "dt": ("dts", lambda text: [_parse_dt(text)]),
+    "dts": ("dts", _comma_list(_parse_dt)),
+    "T": ("T", _parse_number),
+    "alpha0": ("alpha0", _parse_number),
+    "beta0": ("beta0", _parse_number),
+    "rho": ("rho", _parse_number),
+    "phi0": ("phi0", _parse_number),
+    "phis": ("phis", _comma_list(_parse_number, tuple)),
+    "taus": ("taus", _comma_list(_parse_number, tuple)),
+    "out": ("out", str),
+}
+
+
+def _set(cfg: StudyConfig, key: str, value: str) -> None:
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key '{key}'")
+    name, parse = _KEYS[key]
+    try:
+        setattr(cfg, name, parse(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value for '{key}': {value}") from exc
+
+
 def parse_config(text: str) -> StudyConfig:
     """Parse ``key = value`` lines into a validated StudyConfig."""
     cfg = StudyConfig()
@@ -106,55 +141,25 @@ def parse_config(text: str) -> StudyConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key == "study":
-                cfg.study = value
-            elif key == "scheme":
-                cfg.scheme = value
-            elif key == "k":
-                cfg.k = int(value)
-            elif key == "n":
-                cfg.ns = [int(value)]
-            elif key == "ns":
-                cfg.ns = [int(v) for v in value.split(",")]
-            elif key == "dt":
-                cfg.dts = [_parse_dt(value)]
-            elif key == "dts":
-                cfg.dts = [_parse_dt(v) for v in value.split(",")]
-            elif key == "T":
-                cfg.T = _parse_number(value)
-            elif key == "alpha0":
-                cfg.alpha0 = _parse_number(value)
-            elif key == "beta0":
-                cfg.beta0 = _parse_number(value)
-            elif key == "rho":
-                cfg.rho = _parse_number(value)
-            elif key == "phi0":
-                cfg.phi0 = _parse_number(value)
-            elif key == "phis":
-                cfg.phis = tuple(_parse_number(v) for v in value.split(","))
-            elif key == "taus":
-                cfg.taus = tuple(_parse_number(v) for v in value.split(","))
-            elif key == "out":
-                cfg.out = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"line {lineno}: bad value for '{key}': {value}") from exc
+            _set(cfg, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     cfg.validate()
     return cfg
 
 
-def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
-    """Solve one configuration and return its ErrorReport."""
+def _discretization(cfg: StudyConfig, n: int, cache: dict):
+    """DG space and assembled system of (cfg.k, n), built once per study."""
     key = (cfg.k, n)
     if key not in cache:
-        mesh = build_structured_mesh(n)
-        space = DGSpace.build(mesh, cfg.k)
-        system = assemble_system(space, cfg.material(), cfg.alpha0, cfg.beta0)
-        cache[key] = (space, system)
-    space, system = cache[key]
+        space = DGSpace.build(build_structured_mesh(n), cfg.k)
+        cache[key] = (space, assemble_system(space, cfg.material(), cfg.alpha0, cfg.beta0))
+    return cache[key]
+
+
+def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
+    """Solve one configuration and return its ErrorReport."""
+    space, system = _discretization(cfg, n, cache)
     case = ManufacturedCase(cfg.material())
     state = run(
         scheme,
@@ -237,17 +242,9 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
 
 def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
     """Max-over-steps energy for T=5 and T=10 with homogeneous loads."""
-    from .stepper import Scheme
-
     n = cfg.ns[0]
     dt = cfg.dts[0] if cfg.dts[0] is not None else 1.0 / n
-    key = (cfg.k, n)
-    if key not in cache:
-        mesh = build_structured_mesh(n)
-        space = DGSpace.build(mesh, cfg.k)
-        system = assemble_system(space, cfg.material(), cfg.alpha0, cfg.beta0)
-        cache[key] = (space, system)
-    space, system = cache[key]
+    space, system = _discretization(cfg, n, cache)
     case = ManufacturedCase(cfg.material())
     energy_matrix = system.A_vol + system.J
 
@@ -290,39 +287,27 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--study", choices=_STUDIES)
     parser.add_argument("--scheme", choices=_SCHEMES)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--n", help="mesh subdivisions, comma separated")
-    parser.add_argument("--dt", help="time step ('1/2048', '0.25' or 'h'), comma separated")
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--alpha0", type=float)
-    parser.add_argument("--beta0", type=float)
+    parser.add_argument("--k")
+    parser.add_argument("--n", dest="ns", help="mesh subdivisions, comma separated")
+    parser.add_argument(
+        "--dt", dest="dts", help="time step ('1/2048', '0.25' or 'h'), comma separated"
+    )
+    parser.add_argument("--T")
+    parser.add_argument("--alpha0")
+    parser.add_argument("--beta0")
     parser.add_argument("--out", help="CSV output path")
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    config = args.pop("config")
 
     try:
-        if args.config:
-            with open(args.config) as fh:
+        if config:
+            with open(config) as fh:
                 cfg = parse_config(fh.read())
         else:
             cfg = StudyConfig()
-        if args.study:
-            cfg.study = args.study
-        if args.scheme:
-            cfg.scheme = args.scheme
-        if args.k is not None:
-            cfg.k = args.k
-        if args.n:
-            cfg.ns = [int(v) for v in args.n.split(",")]
-        if args.dt:
-            cfg.dts = [_parse_dt(v) for v in args.dt.split(",")]
-        if args.T is not None:
-            cfg.T = args.T
-        if args.alpha0 is not None:
-            cfg.alpha0 = args.alpha0
-        if args.beta0 is not None:
-            cfg.beta0 = args.beta0
-        if args.out:
-            cfg.out = args.out
+        for key, value in args.items():
+            if value is not None:
+                _set(cfg, key, value)
         cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -68,23 +68,3 @@ def relaxation(m: PronyMaterial, t) -> np.ndarray | float:
         raise ValueError("relaxation time must be nonnegative")
     out = m.phi0 + sum(p * np.exp(-t / tau) for p, tau in zip(m.phis, m.taus))
     return float(out) if out.ndim == 0 else out
-
-
-def apply_elastic(m: PronyMaterial, eps: np.ndarray) -> np.ndarray:
-    """Apply the elastic tensor to a symmetric 2x2 strain."""
-    eps = np.asarray(eps, dtype=float)
-    if m.elastic is None:
-        return eps.copy()
-    lam, mu = m.elastic
-    return 2 * mu * eps + lam * np.trace(eps) * np.eye(2)
-
-
-def internal_kernel_constant_history(m: PronyMaterial, q: int, c: float, t: float) -> float:
-    """Displacement-form internal variable for the constant history u(s) = c.
-
-    Closed form of the convolution (phi_q/tau_q) int_0^t exp(-(t-s)/tau_q) c ds.
-    Used as an oracle for the time-stepper recurrences.
-    """
-    if not 0 <= q < m.n_internal:
-        raise IndexError(f"internal variable index {q} out of range")
-    return m.phis[q] * c * (1.0 - np.exp(-t / m.taus[q]))

@@ -44,7 +44,8 @@ class TriMesh:
     """Conforming triangulation with precomputed edge topology.
 
     Immutable after construction; safe to share between threads.  Raises
-    ValueError for a degenerate triangle or a mesh without Dirichlet edges.
+    ValueError for a degenerate triangle, a boundary edge off the sides of
+    the unit square, or a mesh without Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
@@ -108,6 +109,15 @@ def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> Edges:
     away = np.where(interior[:, None], centroid[elems[:, 1]], mid) - centroid[elems[:, 0]]
     normal[np.sum(normal * away, axis=-1) < 0] *= -1.0
 
+    on_side = (np.abs(mid) < _BOUNDARY_TOL) | (np.abs(mid - 1.0) < _BOUNDARY_TOL)
+    off = np.flatnonzero(~interior & ~on_side.any(axis=-1))
+    if off.size:
+        e = off[0]
+        raise ValueError(
+            f"boundary edge {tuple(pairs[e].tolist())} (midpoint {tuple(mid[e].tolist())}) is"
+            " not on a side of the unit square, the only domain whose Dirichlet (x=0, y=0)"
+            " and Neumann (x=1, y=1) sides are known"
+        )
     dirichlet = (mid[:, 0] < _BOUNDARY_TOL) | (mid[:, 1] < _BOUNDARY_TOL)
     tag = np.where(
         interior, EdgeTag.INTERIOR, np.where(dirichlet, EdgeTag.DIRICHLET, EdgeTag.NEUMANN)
@@ -142,7 +152,9 @@ def build_structured_mesh(n: int) -> TriMesh:
 def read_mesh(text: str) -> TriMesh:
     """Parse the ASCII mesh format: ``nv nt`` header, vertex lines, triangle lines.
 
-    Boundary edges are reclassified geometrically (Dirichlet on x=0 or y=0).
+    The mesh must cover the unit square: boundary edges are classified
+    geometrically (Dirichlet on x=0 or y=0, Neumann on x=1 or y=1), and a
+    boundary edge on none of these sides raises ValueError.
     """
     tokens = text.split()
     if len(tokens) < 2:

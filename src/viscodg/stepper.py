@@ -1,17 +1,26 @@
 """Crank-Nicolson time integration of the two fully discrete schemes.
 
 The internal-variable updates are linear one-step recurrences, so they are
-eliminated algebraically from the momentum equation.  Each time step then
-costs a single SPD solve with a time-independent matrix
+eliminated algebraically from the momentum equation.  A step of either form
+then costs a single SPD solve with the time-independent matrix
 
     K = (2/dt^2) M + (gamma/2) A + (1/dt) J,
 
-which is factored once per run.  gamma is 1 - sum_q b_q for the
-displacement scheme and phi0 + sum_q c_q for the velocity scheme, with
+which is factored once per run, and the right-hand side
+
+    f_avg + M ((2/dt^2) U0 + (2/dt) W0) + A (sum_q s (1 + a_q)/2 z_q - u_w U0) + (1/dt) J U0,
+
+followed by the recurrence z_q <- a_q z_q + r_q (U1 + s U0), with
 
     a_q = (2 tau_q - dt) / (2 tau_q + dt),
     b_q = phi_q dt / (2 tau_q + dt),
     c_q = 2 tau_q phi_q / (2 tau_q + dt).
+
+The two forms differ only in their coefficients:
+
+    form          z_q    gamma             u_w                   s    r_q
+    displacement  psi_q  1 - sum_q b_q     gamma/2               +1   b_q
+    velocity      S_q    phi0 + sum_q c_q  gamma/2 - sum_q c_q   -1   c_q
 
 The velocity scheme's exp-decaying load term in u0 is applied as A @ U0,
 which is exact because U0 is the elliptic projection of u0.
@@ -19,6 +28,7 @@ which is exact because U0 is the elliptic projection of u0.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +76,21 @@ class SchemeCoefficients:
         return cls(dt, a, b, c, 1.0 - b.sum(), material.phi0 + c.sum())
 
 
+class _Form(NamedTuple):
+    """One form's row of the coefficient table in the module docstring."""
+
+    gamma: float
+    u_weight: float
+    sign: float
+    rate: np.ndarray
+
+    @classmethod
+    def of(cls, coeffs: SchemeCoefficients, scheme: Scheme) -> "_Form":
+        if scheme == Scheme.DISPLACEMENT:
+            return cls(coeffs.gamma_d, coeffs.gamma_d / 2.0, 1.0, coeffs.b)
+        return cls(coeffs.gamma_v, coeffs.gamma_v / 2.0 - coeffs.c.sum(), -1.0, coeffs.c)
+
+
 def initialize(
     system: AssembledSystem,
     space: DGSpace,
@@ -92,9 +117,37 @@ def initialize(
 
 
 def step_matrix(system: AssembledSystem, coeffs: SchemeCoefficients, scheme: Scheme):
-    gamma = coeffs.gamma_d if scheme == Scheme.DISPLACEMENT else coeffs.gamma_v
+    gamma = _Form.of(coeffs, scheme).gamma
     dt = coeffs.dt
     return (2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J
+
+
+def _step(
+    state: State,
+    system: AssembledSystem,
+    coeffs: SchemeCoefficients,
+    f_avg: np.ndarray,
+    K: Factorization,
+) -> State:
+    """One Crank-Nicolson step of either form: one product each with M, A and J."""
+    form = _Form.of(coeffs, state.scheme)
+    dt = coeffs.dt
+    stiff = -form.u_weight * state.U
+    for a_q, z in zip(coeffs.a, state.internal):
+        stiff += (form.sign * 0.5 * (1.0 + a_q)) * z
+    rhs = (
+        f_avg
+        + system.M @ ((2.0 / dt**2) * state.U + (2.0 / dt) * state.W)
+        + system.A @ stiff
+        + (1.0 / dt) * (system.J @ state.U)
+    )
+    U1 = K.solve(rhs)
+    W1 = (2.0 / dt) * (U1 - state.U) - state.W
+    increment = U1 + form.sign * state.U
+    internal = [
+        a_q * z + r_q * increment for a_q, r_q, z in zip(coeffs.a, form.rate, state.internal)
+    ]
+    return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)
 
 
 def step_displacement(
@@ -111,23 +164,7 @@ def step_displacement(
     """
     if state.scheme != Scheme.DISPLACEMENT:
         raise ValueError("state does not belong to the displacement scheme")
-    dt = coeffs.dt
-    rhs = (
-        f_avg
-        + (2.0 / dt**2) * (system.M @ state.U)
-        + (2.0 / dt) * (system.M @ state.W)
-        - (coeffs.gamma_d / 2.0) * (system.A @ state.U)
-        + (1.0 / dt) * (system.J @ state.U)
-    )
-    for q, psi in enumerate(state.internal):
-        rhs += 0.5 * (1.0 + coeffs.a[q]) * (system.A @ psi)
-    U1 = K.solve(rhs)
-    W1 = (2.0 / dt) * (U1 - state.U) - state.W
-    internal = [
-        coeffs.a[q] * psi + coeffs.b[q] * (U1 + state.U)
-        for q, psi in enumerate(state.internal)
-    ]
-    return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)
+    return _step(state, system, coeffs, f_avg, K)
 
 
 def step_velocity(
@@ -144,23 +181,7 @@ def step_velocity(
     """
     if state.scheme != Scheme.VELOCITY:
         raise ValueError("state does not belong to the velocity scheme")
-    dt = coeffs.dt
-    rhs = (
-        f_avg
-        + (2.0 / dt**2) * (system.M @ state.U)
-        + (2.0 / dt) * (system.M @ state.W)
-        - ((coeffs.gamma_v - 2.0 * coeffs.c.sum()) / 2.0) * (system.A @ state.U)
-        + (1.0 / dt) * (system.J @ state.U)
-    )
-    for q, s_q in enumerate(state.internal):
-        rhs -= 0.5 * (1.0 + coeffs.a[q]) * (system.A @ s_q)
-    U1 = K.solve(rhs)
-    W1 = (2.0 / dt) * (U1 - state.U) - state.W
-    internal = [
-        coeffs.a[q] * s_q + coeffs.c[q] * (U1 - state.U)
-        for q, s_q in enumerate(state.internal)
-    ]
-    return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)
+    return _step(state, system, coeffs, f_avg, K)
 
 
 def run(

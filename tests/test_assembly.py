@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from viscodg.assembly import (
+    LoadAssembler,
     assemble_elliptic_rhs,
-    assemble_load,
     assemble_mass,
     assemble_sipg,
     assemble_system,
@@ -162,12 +162,12 @@ def test_average_jump_discontinuous_field(small_setup):
 
 def test_load_vector_sums(small_setup):
     _, space, _ = small_setup
-    F = assemble_load(space, f=lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    F = LoadAssembler(space).assemble(f=lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     ones_x = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     assert abs(F @ ones_x - 1.0) < 1e-13  # int_Omega 1
-    G = assemble_load(space, g_N=lambda x, y, n: (np.ones_like(x), np.zeros_like(x)))
+    G = LoadAssembler(space).assemble(g_N=lambda x, y, n: (np.ones_like(x), np.zeros_like(x)))
     assert abs(G @ ones_x - 2.0) < 1e-13  # |Gamma_N| = 2
-    Z = assemble_load(space)
+    Z = LoadAssembler(space).assemble()
     assert np.allclose(Z, 0.0)
 
 
@@ -178,7 +178,7 @@ def test_neumann_flux_balance(case, small_setup):
     def g(x, y, n):
         return n[..., 0], np.zeros(np.broadcast_shapes(np.shape(x), n[..., 0].shape))
 
-    G = assemble_load(space, g_N=g)
+    G = LoadAssembler(space).assemble(g_N=g)
     ones_x = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     # int over {x=1} of n_x = 1; over {y=1} n_x = 0
     assert abs(G @ ones_x - 1.0) < 1e-13

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
+from conftest import apply_elastic, internal_kernel_constant_history
 
-from viscodg.material import (
-    PronyMaterial,
-    apply_elastic,
-    internal_kernel_constant_history,
-    relaxation,
-)
+from viscodg.material import PronyMaterial, relaxation
 
 
 def benchmark():

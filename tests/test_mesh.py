@@ -144,6 +144,13 @@ def test_rejects_mesh_without_dirichlet_edge():
         read_mesh(_mesh_text(m.vertices + 1.0, m.triangles))
 
 
+def test_rejects_boundary_off_the_unit_square():
+    # shifted to [-1,0]x[0,1], x=-1 and x=0 would both pass for Dirichlet sides
+    m = build_structured_mesh(2)
+    with pytest.raises(ValueError, match="unit square"):
+        read_mesh(_mesh_text(m.vertices - [1.0, 0.0], m.triangles))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):

@@ -1,10 +1,16 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import block_step_oracle, internal_kernel_constant_history
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscodg.assembly import AssembledSystem
-from viscodg.linalg import factor
-from viscodg.material import PronyMaterial, internal_kernel_constant_history
+from viscodg.linalg import Factorization, factor
+from viscodg.material import PronyMaterial
 from viscodg.stepper import (
     Scheme,
     SchemeCoefficients,
@@ -236,3 +242,69 @@ def test_homogeneous_energy_never_grows(case, small_setup):
         )
         energies = np.array(energies)
         assert np.all(np.diff(energies) < 1e-10 * energies[0])
+
+
+_STEPS = ((Scheme.DISPLACEMENT, step_displacement), (Scheme.VELOCITY, step_velocity))
+
+
+def _random_prony(rng, n_internal):
+    phis = rng.uniform(0.05, 1.0, n_internal) / (n_internal + 1)
+    taus = rng.uniform(0.05, 5.0, n_internal)
+    return PronyMaterial(rho=1.0, phi0=1.0 - phis.sum(), phis=tuple(phis), taus=tuple(taus))
+
+
+def _random_state(rng, scheme, N, n_internal):
+    internal = [rng.standard_normal(N) for _ in range(n_internal)]
+    return State(3, 0.5, rng.standard_normal(N), rng.standard_normal(N), internal, scheme)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_internal=st.sampled_from([0, 1, 3]),
+    dt=st.floats(1.0 / 256, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_step_matches_block_oracle(small_setup, n_internal, dt, seed):
+    # the eliminated step of both forms solves the unreduced block system
+    _, space, system = small_setup
+    rng = np.random.default_rng(seed)
+    material = _random_prony(rng, n_internal)
+    co = SchemeCoefficients.build(material, dt)
+    for scheme, step in _STEPS:
+        state = _random_state(rng, scheme, space.total_dofs, n_internal)
+        f_avg = rng.standard_normal(space.total_dofs)
+        new = step(state, system, co, f_avg, factor(step_matrix(system, co, scheme)))
+        U1, W1, internal = block_step_oracle(system, material, co, state, f_avg)
+        scale = max(1.0, np.abs(U1).max())
+        assert np.abs(new.U - U1).max() < 1e-10 * scale
+        assert np.abs(new.W - W1).max() < 1e-10 * scale
+        assert len(new.internal) == n_internal
+        for z, ref in zip(new.internal, internal):
+            assert np.abs(z - ref).max() < 1e-10 * scale
+
+
+class _Counted:
+    """A matrix that counts its products with vectors under ``name``."""
+
+    def __init__(self, matrix, name, calls):
+        self.matrix, self.name, self.calls = matrix, name, calls
+
+    def __matmul__(self, x):
+        self.calls[self.name] += 1
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("n_internal", [0, 1, 3])
+def test_one_step_is_three_products_and_the_guard(small_setup, rng, n_internal):
+    _, space, system = small_setup
+    co = SchemeCoefficients.build(_random_prony(rng, n_internal), 0.1)
+    for scheme, step in _STEPS:
+        calls = Counter()
+        counted = dataclasses.replace(
+            system, **{name: _Counted(getattr(system, name), name, calls) for name in "MAJ"}
+        )
+        K = factor(step_matrix(system, co, scheme))
+        K = Factorization(_Counted(K.matrix, "K", calls), K._lu)
+        state = _random_state(rng, scheme, space.total_dofs, n_internal)
+        step(state, counted, co, rng.standard_normal(space.total_dofs), K)
+        assert calls == {"M": 1, "A": 1, "J": 1, "K": 1}
