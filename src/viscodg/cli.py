@@ -59,6 +59,8 @@ class StudyConfig:
             raise ConfigError("alpha0 must be positive")
         if self.beta0 < 1:
             raise ConfigError("beta0 must be >= 1")
+        if not self.T > 0:
+            raise ConfigError("T must be positive")
         if any(n < 1 for n in self.ns):
             raise ConfigError("mesh subdivisions must be >= 1")
         for dt in self.dts:

@@ -3,6 +3,13 @@
 Thin layer over scipy.sparse.  The step matrix of the time integrator is
 constant in time, so the intended usage is factor once per run and reuse.
 The factorization is SuperLU, and every solve is checked by its residual.
+
+``factor`` eliminates in the matrix's own numbering: it computes no
+fill-reducing ordering of its own.  The DG matrices are numbered element by
+element, and ``TriMesh`` numbers the elements in the minimum-degree order of
+their adjacency graph (``minimum_degree_order``), so the DOF numbering is
+already the elimination order.  SuperLU's multiple-minimum-degree ordering of
+the scalar DOF graph does not see the element blocks and fills more.
 """
 
 from dataclasses import dataclass
@@ -45,11 +52,41 @@ class Factorization:
         return x
 
 
+def minimum_degree_order(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Multiple-minimum-degree elimination order of an undirected graph.
+
+    ``pairs`` lists the graph's edges as (m, 2) node indices in [0, n).
+    Returns the n nodes in elimination order, read from SuperLU's ordering
+    of a strictly diagonally dominant matrix with the graph's pattern.  The
+    order depends on the pattern alone, so an incomplete factorization that
+    drops almost every entry reads it for about a third of the cost of a full one.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])
+    degree = np.bincount(pairs.ravel(), minlength=n)
+    values = np.concatenate([-np.ones(2 * len(pairs)), degree + 1.0])
+    E = sp.csc_matrix((values, (rows, cols)), shape=(n, n))
+    lu = spla.spilu(
+        E, permc_spec="MMD_AT_PLUS_A", drop_tol=0.5, fill_factor=1, options={"SymmetricMode": True}
+    )
+    # perm_c[i] is the position at which node i is eliminated
+    return np.argsort(lu.perm_c)
+
+
 def factor(K: sp.csr_matrix) -> Factorization:
-    """Factor an SPD matrix for repeated solves."""
-    K = K.tocsc()
+    """Factor an SPD matrix for repeated solves, eliminating in its own numbering.
+
+    A pivot threshold of 0.01 keeps SuperLU on the diagonal, as it advises
+    for SymmetricMode; off-diagonal pivots of an SPD matrix only add fill.
+    """
     try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = spla.splu(
+            K.tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return Factorization(K.tocsr(), lu)
+    return Factorization(K, lu)

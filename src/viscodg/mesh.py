@@ -13,6 +13,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .linalg import minimum_degree_order
+
 # geometric tolerance for boundary classification of imported meshes
 _BOUNDARY_TOL = 1e-12
 # twice the area of a triangle, relative to its squared sides, below which it is degenerate
@@ -43,9 +45,15 @@ class Edges:
 class TriMesh:
     """Conforming triangulation with precomputed edge topology.
 
+    Triangles come back in elimination order: ``triangles`` holds the given
+    triangles renumbered by minimum degree on the element adjacency graph,
+    so the element-contiguous DOF numbering of a DG space is a fill-reducing
+    order for its matrices.  The caller's array is not modified.
+
     Immutable after construction; safe to share between threads.  Raises
-    ValueError for a degenerate triangle, a boundary edge off the sides of
-    the unit square, or a mesh without Dirichlet edges.
+    ValueError for a degenerate triangle (named by its given index), a
+    boundary edge off the sides of the unit square, or a mesh without
+    Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
@@ -64,9 +72,10 @@ class TriMesh:
             raise ValueError(
                 f"triangle {t} (vertices {self.triangles[t].tolist()}) has zero or negative area"
             )
-        edges = _build_edges(self.vertices, self.triangles)
+        triangles, edges = _build_edges(self.vertices, self.triangles)
         if not np.any(edges.tag == EdgeTag.DIRICHLET):
             raise ValueError("mesh has no Dirichlet edge on x=0 or y=0; the SIPG form is singular")
+        object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "h", float(edges.length.max()))
 
@@ -79,7 +88,8 @@ class TriMesh:
         return len(self.triangles)
 
 
-def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> Edges:
+def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, Edges]:
+    """The triangles renumbered in elimination order, and the edges in that numbering."""
     # side a of every triangle joins local vertices a and a+1 (mod 3)
     sides = np.sort(np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1), axis=-1)
     pairs, edge_of_side, counts = np.unique(
@@ -89,13 +99,19 @@ def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> Edges:
         e = int(np.argmax(counts))
         raise ValueError(f"edge {tuple(pairs[e].tolist())} shared by {counts[e]} triangles")
 
-    # a stable sort keeps each edge's triangles in ascending order
-    owner = np.argsort(edge_of_side.ravel(), kind="stable") // 3
+    owner = np.argsort(edge_of_side.ravel()) // 3
     first = np.cumsum(counts) - counts
     interior = counts == 2
+    neighbours = np.stack([owner[first[interior]], owner[first[interior] + 1]], axis=-1)
+
+    order = minimum_degree_order(len(triangles), neighbours)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    triangles = triangles[order]
     elems = np.full((len(pairs), 2), -1, dtype=np.int64)
-    elems[:, 0] = owner[first]
-    elems[interior, 1] = owner[first[interior] + 1]
+    elems[:, 0] = rank[owner[first]]
+    elems[interior, 0] = rank[neighbours].min(axis=-1)
+    elems[interior, 1] = rank[neighbours].max(axis=-1)
 
     p0, p1 = vertices[pairs[:, 0]], vertices[pairs[:, 1]]
     tangent = p1 - p0
@@ -122,7 +138,7 @@ def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> Edges:
     tag = np.where(
         interior, EdgeTag.INTERIOR, np.where(dirichlet, EdgeTag.DIRICHLET, EdgeTag.NEUMANN)
     )
-    return Edges(pairs, elems, normal, length, tag)
+    return triangles, Edges(pairs, elems, normal, length, tag)
 
 
 def build_structured_mesh(n: int) -> TriMesh:

@@ -205,6 +205,8 @@ def run(
     at every time level when given.  The step matrix is factored once, after
     the first ``diagnostics`` call, and reused for every step.
     """
+    if T < 0:
+        raise ValueError(f"final time T={T} is negative")
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")

@@ -173,6 +173,13 @@ def test_main_bad_config_exit_code(tmp_path, capfd):
     assert "config error" in capfd.readouterr().err
 
 
+def test_main_negative_final_time_exit_code(capfd):
+    assert main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4", "--T", "-1"]) == 2
+    assert "T must be positive" in capfd.readouterr().err
+    with pytest.raises(ConfigError, match="T must be positive"):
+        parse_config("T = 0")
+
+
 def test_main_missing_config_file(capfd):
     assert main(["--config", "/no/such/file.cfg"]) == 2
     capfd.readouterr()

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscodg.linalg import SolverError, factor, from_triplets
+from viscodg.assembly import assemble_system
+from viscodg.linalg import SolverError, factor, from_triplets, minimum_degree_order
+from viscodg.mesh import build_structured_mesh
+from viscodg.space import DGSpace
+from viscodg.stepper import Scheme, SchemeCoefficients, step_matrix
 
 
 def test_from_triplets_sums_duplicates():
@@ -63,3 +67,35 @@ def test_residual_guard_catches_breakdown(rng):
     F.matrix = _random_spd(6, rng)
     with pytest.raises(SolverError):
         F.solve(np.ones(6))
+
+
+def _lu_fill(F):
+    return F._lu.L.nnz + F._lu.U.nnz
+
+
+def test_element_order_cuts_fill(case):
+    # the DOF numbering is the elimination order: minimum degree on the
+    # element graph, with diagonal pivots, fills less than SuperLU's own
+    # ordering of the DOF graph, which fills 1.29e6 for K and 6.96e6 for A here
+    space = DGSpace.build(build_structured_mesh(16), 2)
+    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    coeffs = SchemeCoefficients.build(case.material, 1.0 / 8)
+    assert _lu_fill(factor(step_matrix(system, coeffs, Scheme.DISPLACEMENT))) <= 1.05e6
+
+    space = DGSpace.build(build_structured_mesh(16), 3)
+    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    F = factor(system.A)
+    assert _lu_fill(F) <= 3.0e6
+    b = np.random.default_rng(0).standard_normal(space.total_dofs)
+    assert np.linalg.norm(system.A @ F.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_minimum_degree_order_is_a_permutation():
+    # a path graph given in scrambled order
+    rng = np.random.default_rng(0)
+    label = rng.permutation(20)
+    order = minimum_degree_order(20, np.stack([label[:-1], label[1:]], axis=-1))
+    assert sorted(order.tolist()) == list(range(20))
+    # an isolated node and an empty graph are allowed
+    assert sorted(minimum_degree_order(3, [[0, 1]]).tolist()) == [0, 1, 2]
+    assert minimum_degree_order(1, np.empty((0, 2), dtype=int)).tolist() == [0]

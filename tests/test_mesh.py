@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscodg.mesh import EdgeTag, build_structured_mesh, read_mesh
+from viscodg.assembly import assemble_system
+from viscodg.errors import error_norms
+from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh, read_mesh
+from viscodg.space import DGSpace
+from viscodg.stepper import Scheme, run
 
 
 def _areas(m):
@@ -110,11 +114,18 @@ def test_element_geometry_examples():
     tangent = m1.vertices[e.vertices[:, 1]] - m1.vertices[e.vertices[:, 0]]
     assert np.abs(np.sum(e.normal * tangent, axis=-1)).max() < 1e-14
     # the diagonal of the unit cell, shared by its two triangles, points from
-    # the lower-right triangle 0 into the upper-left triangle 1
+    # triangle 0 into triangle 1; the element order decides which of the
+    # lower-right and upper-left triangles is 0, so they are told apart by
+    # their centroids
     [diagonal] = np.flatnonzero(e.tag == EdgeTag.INTERIOR)
     assert e.vertices[diagonal].tolist() == [0, 3]
     assert e.elems[diagonal].tolist() == [0, 1]
-    assert np.allclose(e.normal[diagonal], np.array([-1.0, 1.0]) / np.sqrt(2.0))
+    c = _centroids(m1)
+    [lower_right] = np.flatnonzero(np.abs(c - [2 / 3, 1 / 3]).max(axis=-1) < 1e-14)
+    [upper_left] = np.flatnonzero(np.abs(c - [1 / 3, 2 / 3]).max(axis=-1) < 1e-14)
+    assert {int(lower_right), int(upper_left)} == {0, 1}
+    from_0_into_1 = np.array([-1.0, 1.0] if lower_right == 0 else [1.0, -1.0]) / np.sqrt(2.0)
+    assert np.allclose(e.normal[diagonal], from_0_into_1)
 
 
 def test_ascii_roundtrip():
@@ -206,3 +217,58 @@ def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
     # that rounds differently when called per vector
     assert np.abs(e.normal - np.array([r[2] for r in reference])).max() <= 1e-15
     assert np.abs(e.length - np.array([r[3] for r in reference])).max() <= 1e-15
+
+
+def _short_run_norms(mesh, case):
+    """The six error norms after two steps of each form, k=1."""
+    space = DGSpace.build(mesh, 1)
+    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    norms = []
+    for scheme in Scheme:
+        state = run(
+            scheme,
+            space,
+            system,
+            case.material,
+            T=0.5,
+            dt=0.25,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+            body_force=case.body_force_at,
+            traction=case.traction_at,
+        )
+        norms.append(error_norms(state, case, space, system, dt=0.25).as_row())
+    return np.array(norms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_element_numbering_does_not_change_the_solution(case, seed):
+    # the elements come back in elimination order whatever order they were
+    # given in; the discrete solution is the same up to rounding
+    rng = np.random.default_rng(seed)
+    base = build_structured_mesh(4)
+    relabel = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[relabel] = base.vertices
+    given_triangles = relabel[base.triangles][rng.permutation(base.n_triangles)]
+    flip = rng.random(len(given_triangles)) < 0.5
+    given_triangles[flip] = given_triangles[flip][:, [0, 2, 1]]
+
+    m = read_mesh(_mesh_text(vertices, given_triangles))
+    # each given triangle appears exactly once
+    assert sorted(map(sorted, m.triangles.tolist())) == sorted(map(sorted, given_triangles.tolist()))
+    assert np.all(_areas(m) > 0)
+
+    reference = _short_run_norms(base, case)
+    assert np.all(reference > 0)
+    assert np.all(np.abs(_short_run_norms(m, case) - reference) <= 1e-10 * reference)
+
+
+def test_renumbering_leaves_the_callers_triangles_alone():
+    base = build_structured_mesh(3)
+    given = base.triangles[::-1].copy()
+    m = TriMesh(base.vertices, given, 3)
+    assert np.array_equal(given, base.triangles[::-1])
+    assert m.triangles is not given

@@ -152,6 +152,12 @@ def test_run_rejects_nonintegral_horizon(case, small_setup):
         run(Scheme.DISPLACEMENT, space, system, case.material, T=1.0, dt=0.3)
 
 
+def test_run_rejects_negative_final_time(case, small_setup):
+    _, space, system = small_setup
+    with pytest.raises(ValueError, match="negative"):
+        run(Scheme.DISPLACEMENT, space, system, case.material, T=-1.0, dt=0.25)
+
+
 def test_run_zero_steps(case, small_setup):
     _, space, system = small_setup
     st = run(
