@@ -1,12 +1,29 @@
 """Assembly of the SIPG bilinear form, mass matrices and load vectors.
 
-Strains are handled in the orthonormal Voigt basis (e11, e22, sqrt2*e12) so
-that tensor contractions become dot products.  Dirichlet conditions are
-imposed weakly through the boundary edge terms (Nitsche style); Neumann
+The material enters through its elastic tensor in index form, D[z, a, c, b]:
+the stress of a displacement gradient g (index order [component,
+derivative]) is sigma_za = sum_cb D[z, a, c, b] g_cb.  Dirichlet conditions
+are imposed weakly through the boundary edge terms (Nitsche style); Neumann
 edges contribute only to the load vector.
 
-Traversal order is fixed (elements ascending, then edges ascending) so the
-assembled matrices are reproducible bit for bit.
+DOFs are element-contiguous, so every matrix is made of nd x nd element
+blocks: one per triangle, on the diagonal, and two per interior edge, coupling
+its two triangles.  Local matrices are summed straight into one
+(n_blocks, nd, nd) array, which becomes a BSR matrix and then CSR with its
+explicit zeros dropped.  On an affine triangle the element stiffness is
+quadratic in the inverse Jacobian, K_t = det_t sum Jinv_ab Jinv_cd R[ab, cd],
+with R a (16, nd^2) reference tensor tabulated once from the reference
+gradients, D and the weights; all elements then take one matrix product.
+Edge and load sums are batched matrix products with the weights folded into
+one operand.  Every quadrature sum is a BLAS product: a multi-operand einsum
+without ``optimize`` runs as nested C loops, and with ``optimize=True`` its
+intermediates raise the peak memory of assembly.
+
+Blocks are summed in a fixed order (volume, the consistency terms of the
+interior and then the Dirichlet edges, then the penalty matrix J), so
+assembling twice with the same BLAS gives identical matrices.  Against a triplet sum the values
+differ in the last bits, and entries that cancel may keep a round-off
+residue (about 1e-16 max|A|) instead of an exact zero.
 """
 
 from dataclasses import dataclass
@@ -14,45 +31,25 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import from_triplets
 from .material import PronyMaterial
 from .mesh import EdgeTag
 from .space import DGSpace
 
-_SQRT2 = np.sqrt(2.0)
-_EDGE_CHUNK = 4096
+# Voigt strain (e11, e22, sqrt2*e12) of the gradient e_c (x) e_b, as [c, b, :]
+_VOIGT = np.zeros((2, 2, 3))
+_VOIGT[0, 0, 0] = _VOIGT[1, 1, 1] = 1.0
+_VOIGT[0, 1, 2] = _VOIGT[1, 0, 2] = 1.0 / np.sqrt(2.0)
 
 
-def _strain_voigt_basis(grads: np.ndarray) -> np.ndarray:
-    """Voigt strains of all vector DOFs from scalar basis gradients.
-
-    ``grads``: (..., nb, 2) physical gradients.  Returns (..., 2*nb, 3)
-    with the component-major DOF ordering.
-    """
-    nb = grads.shape[-2]
-    out = np.zeros(grads.shape[:-2] + (2 * nb, 3))
-    out[..., :nb, 0] = grads[..., 0]
-    out[..., :nb, 2] = grads[..., 1] / _SQRT2
-    out[..., nb:, 1] = grads[..., 1]
-    out[..., nb:, 2] = grads[..., 0] / _SQRT2
-    return out
+def elasticity_tensor(material: PronyMaterial) -> np.ndarray:
+    """The material's elastic tensor in index form D[z, a, c, b], (2, 2, 2, 2)."""
+    v = _VOIGT.reshape(4, 3)
+    return (v @ material.elastic_voigt @ v.T).reshape(2, 2, 2, 2)
 
 
-def _voigt_traction(stress: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Traction S.n from Voigt stresses (..., 3) and normals broadcastable (..., 2)."""
-    s12 = stress[..., 2] / _SQRT2
-    t1 = stress[..., 0] * normal[..., 0] + s12 * normal[..., 1]
-    t2 = s12 * normal[..., 0] + stress[..., 1] * normal[..., 1]
-    return np.stack([t1, t2], axis=-1)
-
-
-def _trace_values(values: np.ndarray) -> np.ndarray:
-    """Vector DOF traces from scalar basis values (..., nb) -> (..., 2*nb, 2)."""
-    nb = values.shape[-1]
-    out = np.zeros(values.shape[:-1] + (2 * nb, 2))
-    out[..., :nb, 0] = values
-    out[..., nb:, 1] = values
-    return out
+def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Stresses (..., 2, 2) of displacement gradients (..., 2, 2)."""
+    return (g.reshape(g.shape[:-2] + (4,)) @ D.reshape(4, 4).T).reshape(g.shape)
 
 
 def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
@@ -72,11 +69,9 @@ def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
     for side, elem in enumerate(incident):
         _, vals, grads = space.edge_traces(np.array([edge]), side)
         c = coeffs.reshape(space.mesh.n_triangles, 2, nb)[elem]
-        v = np.einsum("qi,ci->qc", vals[0], c)
-        g = np.einsum("qib,ci->qcb", grads[0], c)
-        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-        traces.append(v)
-        stresses.append(eps)
+        g = c @ grads[0]  # (nqe, 2, 2)
+        traces.append(vals[0] @ c.T)
+        stresses.append(0.5 * (g + np.swapaxes(g, -1, -2)))
     if len(incident) == 2:
         avg = 0.5 * (stresses[0] + stresses[1])
         jump = traces[0] - traces[1]
@@ -87,99 +82,101 @@ def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
     return avg, jump, jump_outer
 
 
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of element blocks ``data`` in BSR layout, explicit zeros dropped."""
+    n = (len(indptr) - 1) * data.shape[1]
+    mat = sp.bsr_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _sum_rows(P: sp.csr_matrix, blocks: np.ndarray) -> np.ndarray:
+    """Blocks (n, nd, nd) summed by a sparse (n, len(blocks)) incidence matrix."""
+    return (P @ blocks.reshape(len(blocks), -1)).reshape((P.shape[0],) + blocks.shape[1:])
+
+
+def _componentwise(block: np.ndarray) -> np.ndarray:
+    """Vector blocks diag(block, block) (..., nd, nd) of scalar blocks (..., nb, nb)."""
+    nb = block.shape[-1]
+    out = np.zeros(block.shape[:-2] + (2 * nb, 2 * nb))
+    out[..., :nb, :nb] = out[..., nb:, nb:] = block
+    return out
+
+
+def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    nt = len(blocks)
+    return _csr(blocks, np.arange(nt), np.arange(nt + 1))
+
+
 def assemble_mass(space: DGSpace, weight: float = 1.0) -> sp.csr_matrix:
     """Block-diagonal (weight * v, w) mass matrix."""
     if weight <= 0:
         raise ValueError("mass weight must be positive")
-    nb = space.dofs_per_component
-    nd = space.dofs_per_element
-    mref = np.einsum("q,qi,qj->ij", space.elem_weights, space.ref_values, space.ref_values)
-    block = np.zeros((nd, nd))
-    block[:nb, :nb] = mref
-    block[nb:, nb:] = mref
-    nt = space.mesh.n_triangles
-    vals = weight * space.det_jac[:, None, None] * block[None, :, :]
-    base = np.arange(nt)[:, None, None] * nd
-    rows = np.broadcast_to(base + np.arange(nd)[None, :, None], vals.shape)
-    cols = np.broadcast_to(base + np.arange(nd)[None, None, :], vals.shape)
-    return from_triplets(space.total_dofs, rows.ravel(), cols.ravel(), vals.ravel())
+    mref = (space.ref_values.T * space.elem_weights) @ space.ref_values
+    return _block_diagonal(_componentwise(weight * space.det_jac[:, None, None] * mref))
+
+
+def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
+    """Element strain-energy blocks (nt, nd, nd) from one reference tensor.
+
+    With physical gradients g = G Jinv, block [(z, i), (c, j)] is
+    det sum Jinv_pa Jinv_rb sum_q w_q G_qip G_qjr D[z, a, c, b].
+    """
+    G = space.ref_grads  # (nq, nb, 2)
+    nt, nd = space.mesh.n_triangles, space.dofs_per_element
+    Gw = (G * space.elem_weights[:, None, None]).reshape(len(G), -1)
+    S = (Gw.T @ G.reshape(len(G), -1)).reshape(nd // 2, 2, nd // 2, 2)  # [i, p, j, r]
+    R = np.multiply.outer(S, D)  # [i, p, j, r, z, a, c, b]
+    R = R.transpose(1, 5, 3, 7, 4, 0, 6, 2).reshape(16, nd * nd)  # [(p, a, r, b), (z, i, c, j)]
+    jinv = space.jac_inv.reshape(nt, 4)
+    coef = (space.det_jac[:, None] * jinv)[:, :, None] * jinv[:, None, :]
+    return (coef.reshape(nt, 16) @ R).reshape(nt, nd, nd)
 
 
 def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr_matrix:
     """Element-wise strain energy form sum_E int D eps(v) : eps(w)."""
-    C = material.elastic_voigt
-    nd = space.dofs_per_element
-    nt = space.mesh.n_triangles
-    rows_all, cols_all, vals_all = [], [], []
-    for start in range(0, nt, _EDGE_CHUNK):
-        sl = slice(start, min(start + _EDGE_CHUNK, nt))
-        gp = np.einsum("qia,tab->tqib", space.ref_grads, space.jac_inv[sl])
-        eps = _strain_voigt_basis(gp)  # (nc, nq, nd, 3)
-        sig = eps @ C.T
-        k = np.einsum("tqas,tqbs,q,t->tab", sig, eps, space.elem_weights, space.det_jac[sl])
-        base = np.arange(sl.start, sl.stop)[:, None, None] * nd
-        rows = np.broadcast_to(base + np.arange(nd)[None, :, None], k.shape)
-        cols = np.broadcast_to(base + np.arange(nd)[None, None, :], k.shape)
-        rows_all.append(rows.ravel())
-        cols_all.append(cols.ravel())
-        vals_all.append(k.ravel())
-    return from_triplets(
-        space.total_dofs,
-        np.concatenate(rows_all),
-        np.concatenate(cols_all),
-        np.concatenate(vals_all),
-    )
+    return _block_diagonal(_volume_blocks(space, elasticity_tensor(material)))
 
 
-def _edge_matrices(space, material, ids, arity, alpha0, beta0):
-    """Consistency and penalty triplets for the edges ``ids``, all of one arity.
+def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0, beta0):
+    """Consistency and penalty blocks of the edges ``ids``, all of one arity.
 
-    Returns (rows, cols, consistency values, penalty values).
+    Yields (test side r, trial side s >= r, consistency, penalty), the blocks
+    (ne, nd, nd) of -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n]
+    and of alpha0 / |e|^beta0 int [v] . [w]; those of (s, r) are their
+    transposes.
     """
-    C = material.elastic_voigt
-    nd = space.dofs_per_element
-    wq = space.edge_weights
     edges = space.mesh.edges
-    normal, length = edges.normal[ids], edges.length[ids]
-    if arity == 2:
-        signs = (1.0, -1.0)
-        cavg = 0.5
-    else:
-        signs = (1.0,)
-        cavg = 1.0
-
-    traces, tractions, dofs = [], [], []
-    for side in range(arity):
-        _, vals, grads = space.edge_traces(ids, side)
-        tr = _trace_values(vals)  # (ne, nq, nd, 2)
-        eps = _strain_voigt_basis(grads)
-        sig = eps @ C.T
-        tn = _voigt_traction(sig, normal[:, None, None, :])  # (ne, nq, nd, 2)
-        traces.append(tr)
-        tractions.append(tn)
-        dofs.append(edges.elems[ids, side][:, None] * nd + np.arange(nd)[None, :])
-
+    nb, nd = space.dofs_per_component, space.dofs_per_element
+    ne = len(ids)
+    length = edges.length[ids]
+    wl = space.edge_weights[None, :] * length[:, None]  # (ne, nqe)
     pen = alpha0 / length**beta0
-    rows, cols, consist, penalty = [], [], [], []
-    for r in range(arity):  # test side
-        for s in range(arity):  # trial side
-            # -int {D eps(v)} : [w (x) n]  - int {D eps(w)} : [v (x) n]
-            t1 = np.einsum("eqaz,eqbz,q,e->eab", traces[r], tractions[s], wq, length)
-            t2 = np.einsum("eqaz,eqbz,q,e->eab", tractions[r], traces[s], wq, length)
-            kc = -cavg * (signs[r] * t1 + signs[s] * t2)
-            kp = np.einsum(
-                "eqaz,eqbz,q,e->eab", traces[r], traces[s], wq, length * pen
-            ) * (signs[r] * signs[s])
-            rows.append(np.broadcast_to(dofs[r][:, :, None], kc.shape).ravel())
-            cols.append(np.broadcast_to(dofs[s][:, None, :], kc.shape).ravel())
-            consist.append(kc.ravel())
-            penalty.append(kp.ravel())
-    return (
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(consist),
-        np.concatenate(penalty),
-    )
+    # normal-contracted tensor: traction_z of the gradient e_c (x) e_b, as [e, b, (z, c)]
+    Dn = (edges.normal[ids] @ D.transpose(1, 3, 0, 2).reshape(2, 8)).reshape(ne, 2, 4)
+    signs = (1.0, -1.0)[:arity]
+    cavg = 0.5 if arity == 2 else 1.0
+
+    vals, wvals, tractions = [], [], []
+    for side in range(arity):
+        _, v, g = space.edge_traces(ids, side)  # (ne, nqe, nb), (ne, nqe, nb, 2)
+        nq = v.shape[1]
+        t = (g.reshape(ne, nq * nb, 2) @ Dn).reshape(ne, nq, nb, 2, 2)
+        vals.append(v)
+        wvals.append(np.swapaxes(v * wl[:, :, None], 1, 2))  # (ne, nb, nqe)
+        tractions.append(t.transpose(0, 1, 3, 4, 2).reshape(ne, nq, 2 * nd))  # [q, (z, c, j)]
+
+    def t1(r, s):
+        """[(z, i), (c, j)]: int v_i traction_z(e_c phi_j), test side r, trial side s."""
+        t = (wvals[r] @ tractions[s]).reshape(ne, nb, 2, nd).transpose(0, 2, 1, 3)
+        return t.reshape(ne, nd, nd)
+
+    for r in range(arity):
+        for s in range(r, arity):
+            consist = (-cavg * signs[r]) * t1(r, s)
+            consist -= (cavg * signs[s]) * np.swapaxes(t1(s, r), 1, 2)
+            p = (signs[r] * signs[s] * pen)[:, None, None] * (wvals[r] @ vals[s])
+            yield r, s, consist, _componentwise(p)
 
 
 def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0: float):
@@ -192,20 +189,59 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
         raise ValueError("penalty parameter alpha0 must be positive")
     if beta0 < 1:
         raise ValueError("penalty exponent beta0 must be >= 1 in 2D")
-    avol = assemble_volume_stiffness(space, material)
+    D = elasticity_tensor(material)
+    nt, nd = space.mesh.n_triangles, space.dofs_per_element
+    edges = space.mesh.edges
+    interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
+    dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
 
-    n = space.total_dofs
-    consist = sp.csr_matrix((n, n))
-    jump = sp.csr_matrix((n, n))
-    for tag, arity in ((EdgeTag.INTERIOR, 2), (EdgeTag.DIRICHLET, 1)):
-        ids = np.flatnonzero(space.mesh.edges.tag == tag)
-        for start in range(0, len(ids), _EDGE_CHUNK):
-            chunk = ids[start : start + _EDGE_CHUNK]
-            rows, cols, kc, kp = _edge_matrices(space, material, chunk, arity, alpha0, beta0)
-            consist = consist + from_triplets(n, rows, cols, kc)
-            jump = jump + from_triplets(n, rows, cols, kp)
-    A = avol + consist + jump
-    return A.tocsr(), jump.tocsr(), avol
+    # block (row, col) list: the diagonal, then (i, j) and (j, i) per interior edge;
+    # slot[b] is where block b sits in the row-sorted BSR data
+    pairs = edges.elems[interior]
+    rows = np.concatenate([np.arange(nt), pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(nt), pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nt))])
+    indices = cols[order]
+    diag, upper, lower = np.split(slot, [nt, nt + len(interior)])
+
+    vol = _volume_blocks(space, D)
+    a_data = np.zeros((len(slot), nd, nd))
+    j_data = np.zeros_like(a_data)
+    a_data[diag] = vol
+    for ids, arity in ((interior, 2), (dirichlet, 1)):
+        for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0, beta0):
+            if r == s:
+                # a triangle is side r of several edges: sum by an incidence product
+                elems = edges.elems[ids, r]
+                ones = np.ones(len(ids))
+                P = sp.csr_matrix((ones, (elems, np.arange(len(ids)))), shape=(nt, len(ids)))
+                a_data[diag] += _sum_rows(P, consist)
+                j_data[diag] += _sum_rows(P, penalty)
+            else:
+                a_data[upper] = consist
+                a_data[lower] = np.swapaxes(consist, 1, 2)
+                j_data[upper] = penalty
+                j_data[lower] = np.swapaxes(penalty, 1, 2)
+            del consist, penalty  # freed before the generator builds the next pair
+    a_data += j_data
+    J = _csr(j_data, indices, indptr)
+    del j_data  # the two block arrays are the largest temporaries of assembly
+    A = _csr(a_data, indices, indptr)
+    return A, J, _block_diagonal(vol)
+
+
+def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
+    """DOF blocks (len(elems), nd) of the given elements."""
+    nd = space.dofs_per_element
+    return elems[:, None] * nd + np.arange(nd)
+
+
+def _scatter(n: int, dofs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Length-n vector of ``values`` summed into positions ``dofs`` (same shape)."""
+    return np.bincount(dofs.ravel(), weights=values.ravel(), minlength=n)
 
 
 class LoadAssembler:
@@ -218,11 +254,10 @@ class LoadAssembler:
         edges = space.mesh.edges
         self.neumann = np.flatnonzero(edges.tag == EdgeTag.NEUMANN)
         self.n_x, vals, _ = space.edge_traces(self.neumann, 0)
-        self.n_traces = _trace_values(vals)  # (ne, nq, nd, 2)
-        self.n_w = space.edge_weights[None, :] * edges.length[self.neumann][:, None]
+        n_w = space.edge_weights[None, :] * edges.length[self.neumann][:, None]
+        self.n_wvals = np.swapaxes(vals * n_w[:, :, None], 1, 2)  # (ne, nb, nqe)
         self.n_normal = edges.normal[self.neumann]
-        nd = space.dofs_per_element
-        self.n_dofs = edges.elems[self.neumann, 0][:, None] * nd + np.arange(nd)
+        self.n_dofs = _element_dofs(space, edges.elems[self.neumann, 0])
 
     def assemble(self, f=None, g_N=None) -> np.ndarray:
         """Load vector of (f, v) + (g_N, v)_{Gamma_N} for fields bound to one time.
@@ -231,21 +266,16 @@ class LoadAssembler:
         on the Neumann boundary; either may be None.
         """
         space = self.space
-        nb = space.dofs_per_component
-        out = np.zeros(space.total_dofs)
+        nt, nb = space.mesh.n_triangles, space.dofs_per_component
+        loc = np.zeros((nt, 2, nb))
         if f is not None:
-            fx, fy = f(self.xq[..., 0], self.xq[..., 1])
-            shape = self.xq.shape[:-1]
-            fvals = np.stack(
-                [np.broadcast_to(fx, shape), np.broadcast_to(fy, shape)], axis=-1
-            )
-            loc = np.einsum("tqc,tq,qi->tci", fvals, self.wdet, space.ref_values)
-            out += loc.reshape(space.mesh.n_triangles, 2 * nb).ravel()
+            for c, fc in enumerate(f(self.xq[..., 0], self.xq[..., 1])):
+                loc[:, c] = (fc * self.wdet) @ space.ref_values
+        out = loc.ravel()
         if g_N is not None and len(self.neumann):
             gx, gy = g_N(self.n_x[..., 0], self.n_x[..., 1], self.n_normal[:, None, :])
-            gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)
-            loc = np.einsum("eqz,eqaz,eq->ea", gvals, self.n_traces, self.n_w)
-            np.add.at(out, self.n_dofs.ravel(), loc.ravel())
+            gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)  # (ne, nqe, 2)
+            out += _scatter(len(out), self.n_dofs, np.swapaxes(self.n_wvals @ gvals, 1, 2))
         return out
 
 
@@ -259,53 +289,41 @@ def assemble_elliptic_rhs(
     only the average-stress edge term survives there; Dirichlet edges also
     carry the symmetrizing and penalty terms in u0's trace.
     """
-    C = material.elastic_voigt
-    nb = space.dofs_per_component
-    out = np.zeros(space.total_dofs)
+    D = elasticity_tensor(material)
+    nt, nb = space.mesh.n_triangles, space.dofs_per_component
+    n = space.total_dofs
 
-    # volume term: int D eps(u0) : eps(phi)
-    xq = space.physical_quad_points()
-    g = grad_array(grad_u0, xq)  # (nt, nq, 2, 2)
-    eps0 = voigt_strain(g)
-    sig0 = eps0 @ C.T
-    gp = np.einsum("qia,tab->tqib", space.ref_grads, space.jac_inv)
-    epsb = _strain_voigt_basis(gp)
-    loc = np.einsum(
-        "tqs,tqas,q,t->ta", sig0, epsb, space.elem_weights, space.det_jac
-    )
-    out += loc.ravel()
+    # volume term: int D eps(u0) : eps(phi) = det sum_q w_q sigma_ca G_qip Jinv_pa
+    G = space.ref_grads
+    nq = len(G)
+    sig = stress(D, grad_array(grad_u0, space.physical_quad_points()))  # (nt, nq, 2, 2)
+    h = sig @ np.swapaxes(space.jac_inv, 1, 2)[:, None]  # [t, q, c, p]
+    wG = (G * space.elem_weights[:, None, None]).transpose(0, 2, 1).reshape(nq * 2, nb)
+    loc = (np.swapaxes(h, 1, 2).reshape(nt * 2, nq * 2) @ wG).reshape(nt, 2, nb)
+    out = (space.det_jac[:, None, None] * loc).ravel()
 
     edges = space.mesh.edges
-    wq = space.edge_weights
     interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
     dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
-
-    # - int {D eps(u0)} : [phi (x) n] over interior and Dirichlet edges
     for ids, signs in ((interior, (1.0, -1.0)), (dirichlet, (1.0,))):
-        length = edges.length[ids]
+        normal, length = edges.normal[ids], edges.length[ids]
+        wl = (space.edge_weights[None, :] * length[:, None])[:, :, None]
         for side, sign in enumerate(signs):
-            x, vals, _ = space.edge_traces(ids, side)
+            x, vals, grads = space.edge_traces(ids, side)
+            loc = np.zeros((len(ids), 2, nb))
             if side == 0:
-                sig_e = voigt_strain(grad_array(grad_u0, x)) @ C.T
-                tn0 = _voigt_traction(sig_e, edges.normal[ids][:, None, :])  # (ne, nq, 2)
-            tr = _trace_values(vals)
-            loc = -sign * np.einsum("eqz,eqaz,q,e->ea", tn0, tr, wq, length)
-            dofs = edges.elems[ids, side][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
-            np.add.at(out, dofs.ravel(), loc.ravel())
-
-    # Dirichlet-only terms in the trace of u0 itself
-    normal, length = edges.normal[dirichlet], edges.length[dirichlet]
-    x, vals, grads = space.edge_traces(dirichlet, 0)
-    ux, uy = u0(x[..., 0], x[..., 1])
-    uvals = np.stack(np.broadcast_arrays(ux, uy), axis=-1)  # (ne, nq, 2)
-    tr = _trace_values(vals)
-    eps_b = _strain_voigt_basis(grads)
-    tn_b = _voigt_traction(eps_b @ C.T, normal[:, None, None, :])
-    pen = alpha0 / length**beta0
-    loc = -np.einsum("eqaz,eqz,q,e->ea", tn_b, uvals, wq, length)
-    loc += np.einsum("eqz,eqaz,q,e->ea", uvals, tr, wq, length * pen)
-    dofs = edges.elems[dirichlet, 0][:, None] * 2 * nb + np.arange(2 * nb)[None, :]
-    np.add.at(out, dofs.ravel(), loc.ravel())
+                # - int {D eps(u0)} : [phi (x) n]
+                integrand = -(stress(D, grad_array(grad_u0, x)) @ normal[:, None, :, None])[..., 0]
+            if ids is dirichlet:
+                # terms in the trace of u0 itself:
+                # alpha0/|e|^beta0 int u0 . phi - int D eps(phi) : (u0 (x) n)
+                u = np.stack(np.broadcast_arrays(*u0(x[..., 0], x[..., 1])), axis=-1)
+                integrand += (alpha0 / length**beta0)[:, None, None] * u
+                un = stress(D, u[..., :, None] * normal[:, None, None, :]) * wl[..., None]
+                un = np.swapaxes(un, 1, 2).reshape(len(ids), 2, -1)  # [e, c, (q, b)]
+                loc -= un @ np.swapaxes(grads, 2, 3).reshape(len(ids), -1, nb)  # [(q, b), j]
+            loc += sign * (np.swapaxes(integrand * wl, 1, 2) @ vals)
+            out += _scatter(n, _element_dofs(space, edges.elems[ids, side]), loc)
     return out
 
 
@@ -316,14 +334,6 @@ def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
     if g.shape[:2] == (2, 2):
         g = np.moveaxis(g, (0, 1), (-2, -1))
     return np.broadcast_to(g, x.shape[:-1] + (2, 2))
-
-
-def voigt_strain(g: np.ndarray) -> np.ndarray:
-    """Voigt strain from gradient arrays (..., 2, 2) with [component, derivative]."""
-    e11 = g[..., 0, 0]
-    e22 = g[..., 1, 1]
-    e12 = 0.5 * (g[..., 0, 1] + g[..., 1, 0])
-    return np.stack([e11, e22, _SQRT2 * e12], axis=-1)
 
 
 @dataclass

@@ -86,9 +86,10 @@ class StudyConfig:
 
 def _parse_number(text: str) -> float:
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    value = float(Fraction(text)) if "/" in text else float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
 
 
 def _parse_dt(text: str):

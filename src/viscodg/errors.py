@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, grad_array, voigt_strain
+from .assembly import AssembledSystem, elasticity_tensor, grad_array, stress
 from .material import PronyMaterial
 from .mesh import EdgeTag
 from .space import DGSpace
@@ -64,10 +64,7 @@ def _field_error_norms(
     dg = grad_array(grad_exact, xq) - gh
     h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
 
-    C = material.elastic_voigt
-    deps = voigt_strain(dg)
-    sig = deps @ C.T
-    energy_sq = float(np.sum(wdet * np.sum(sig * deps, axis=-1)))
+    energy_sq = float(np.sum(wdet[..., None, None] * stress(elasticity_tensor(material), dg) * dg))
 
     # jump penalty of the error over interior and Dirichlet edges
     edges = space.mesh.edges
@@ -75,19 +72,17 @@ def _field_error_norms(
     for tag in (EdgeTag.INTERIOR, EdgeTag.DIRICHLET):
         ids = np.flatnonzero(edges.tag == tag)
         x, vals, _ = space.edge_traces(ids, 0)
-        jump = -np.einsum("eqi,eci->eqc", vals, cshape[edges.elems[ids, 0]])
+        jump = -(vals @ np.swapaxes(cshape[edges.elems[ids, 0]], 1, 2))
         if tag == EdgeTag.INTERIOR:
             # exact field is continuous: only the discrete jump contributes
             _, vals, _ = space.edge_traces(ids, 1)
-            jump += np.einsum("eqi,eci->eqc", vals, cshape[edges.elems[ids, 1]])
+            jump += vals @ np.swapaxes(cshape[edges.elems[ids, 1]], 1, 2)
         else:
             ex_b, ey_b = exact(x[..., 0], x[..., 1])
             jump += np.stack(np.broadcast_arrays(ex_b, ey_b), axis=-1)
         length = edges.length[ids]
         pen = system.alpha0 / length**system.beta0
-        energy_sq += float(
-            np.einsum("eq,q,e->", np.sum(jump * jump, axis=-1), space.edge_weights, length * pen)
-        )
+        energy_sq += float(np.sum(jump * jump, axis=-1) @ space.edge_weights @ (length * pen))
 
     return np.sqrt(l2_sq), np.sqrt(h1_sq), np.sqrt(energy_sq)
 

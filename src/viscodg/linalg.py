@@ -1,4 +1,4 @@
-"""Sparse symmetric linear algebra: triplet assembly and SPD solves.
+"""Sparse symmetric linear algebra: fill-reducing order and SPD solves.
 
 Thin layer over scipy.sparse.  The step matrix of the time integrator is
 constant in time, so the intended usage is factor once per run and reuse.
@@ -21,18 +21,6 @@ import scipy.sparse.linalg as spla
 
 class SolverError(RuntimeError):
     """Factorization breakdown or a solve whose residual is too large."""
-
-
-def from_triplets(n: int, rows, cols, values) -> sp.csr_matrix:
-    """Build an n-by-n CSR matrix; duplicate entries are summed."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-        raise IndexError("triplet index out of range")
-    mat = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
 
 
 @dataclass

@@ -169,7 +169,7 @@ class DGSpace:
 
     def physical_quad_points(self) -> np.ndarray:
         """Element quadrature points in physical coordinates, (nt, nq, 2)."""
-        return self.v0[:, None, :] + np.einsum("tab,qb->tqa", self.jac, self.elem_points)
+        return self.v0[:, None, :] + self.elem_points @ np.swapaxes(self.jac, 1, 2)
 
     def reference_coords(self, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Pull physical points (..., 2) back to reference coordinates.
@@ -177,7 +177,7 @@ class DGSpace:
         ``elems`` broadcasts against the leading axes of ``x``.
         """
         d = x - self.v0[elems]
-        return np.einsum("...ab,...b->...a", self.jac_inv[elems], d)
+        return (self.jac_inv[elems] @ d[..., None])[..., 0]
 
     def edge_traces(self, edge_ids: np.ndarray, side: int):
         """Traces on one incident element (``side`` 0 or 1) of the given edges.
@@ -195,8 +195,7 @@ class DGSpace:
         shape = x.shape[:2] + (self.dofs_per_component,)
         vals = vals.reshape(shape)
         grads = grads.reshape(shape + (2,))
-        gphys = np.einsum("eqia,eab->eqib", grads, self.jac_inv[elems])
-        return x, vals, gphys
+        return x, vals, grads @ self.jac_inv[elems][:, None]
 
     def interpolate(self, field) -> np.ndarray:
         """Nodal interpolant of a callable ``field(x, y) -> (2,)-like``.
@@ -205,7 +204,7 @@ class DGSpace:
         """
         nb = self.dofs_per_component
         nodes = _lattice_nodes(self.degree)
-        phys = self.v0[:, None, :] + np.einsum("tab,qb->tqa", self.jac, nodes)
+        phys = self.v0[:, None, :] + nodes @ np.swapaxes(self.jac, 1, 2)
         fx, fy = field(phys[..., 0], phys[..., 1])
         out = np.empty((self.mesh.n_triangles, 2 * nb))
         out[:, :nb] = fx
@@ -214,17 +213,16 @@ class DGSpace:
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the DG field at all element quadrature points, (nt, nq, 2)."""
-        nb = self.dofs_per_component
-        c = coeffs.reshape(self.mesh.n_triangles, 2, nb)
-        return np.einsum("qi,tci->tqc", self.ref_values, c)
+        c = coeffs.reshape(-1, self.dofs_per_component)
+        return np.swapaxes((c @ self.ref_values.T).reshape(self.mesh.n_triangles, 2, -1), 1, 2)
 
     def evaluate_gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """Gradients of the DG field at element quadrature points, (nt, nq, 2, 2).
 
         Index order is [element, point, component, derivative].
         """
-        nb = self.dofs_per_component
-        c = coeffs.reshape(self.mesh.n_triangles, 2, nb)
-        # physical gradient: g_phys = g_ref @ jac_inv
-        gp = np.einsum("qia,tab->tqib", self.ref_grads, self.jac_inv)
-        return np.einsum("tqib,tci->tqcb", gp, c)
+        nt, nb = self.mesh.n_triangles, self.dofs_per_component
+        nq = len(self.ref_grads)
+        # reference gradients of the field, then g_phys = g_ref @ jac_inv
+        g = coeffs.reshape(nt * 2, nb) @ np.swapaxes(self.ref_grads, 0, 1).reshape(nb, nq * 2)
+        return np.swapaxes(g.reshape(nt, 2, nq, 2), 1, 2) @ self.jac_inv[:, None]

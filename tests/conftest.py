@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from viscodg.assembly import assemble_system
+from viscodg.assembly import assemble_system, grad_array
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
-from viscodg.mesh import build_structured_mesh
+from viscodg.mesh import EdgeTag, build_structured_mesh
 from viscodg.space import DGSpace
 from viscodg.stepper import Scheme
 
@@ -105,6 +106,185 @@ def block_step_oracle(system, material, co, state, f_avg):
     U1, W1 = sol[blk(0)], sol[blk(1)]
     internal = [sol[blk(2 + q)] for q in range(Q)]
     return U1, W1, internal
+
+
+def mesh_text(vertices, triangles) -> str:
+    """ASCII mesh input for ``read_mesh``."""
+    lines = [f"{len(vertices)} {len(triangles)}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
+    lines += [f"{a} {b} {c}" for a, b, c in triangles]
+    return "\n".join(lines)
+
+
+def scrambled_mesh_input(n: int, rng, amplitude: float = 0.2):
+    """Vertices and triangles of the structured n-mesh, given as an importer might.
+
+    Inner vertices move by up to ``amplitude / n`` in each coordinate (0.2 is
+    well below half the smallest altitude, so no triangle inverts), vertices
+    are relabelled, triangles permuted and about half given clockwise.
+    """
+    base = build_structured_mesh(n)
+    v = base.vertices.copy()
+    inner = np.all((v > 0) & (v < 1), axis=-1)
+    v[inner] += amplitude * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2)) / n
+    relabel = rng.permutation(len(v))
+    vertices = np.empty_like(v)
+    vertices[relabel] = v
+    triangles = relabel[base.triangles][rng.permutation(base.n_triangles)]
+    flip = rng.random(len(triangles)) < 0.5
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    return vertices, triangles
+
+
+# the element-by-element einsum and triplet assembly that the block assembly
+# of viscodg.assembly replaced, kept as its oracle
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _strain_voigt_basis(grads):
+    """Voigt strains (..., 2*nb, 3) of all vector DOFs from scalar gradients (..., nb, 2)."""
+    nb = grads.shape[-2]
+    out = np.zeros(grads.shape[:-2] + (2 * nb, 3))
+    out[..., :nb, 0] = grads[..., 0]
+    out[..., :nb, 2] = grads[..., 1] / _SQRT2
+    out[..., nb:, 1] = grads[..., 1]
+    out[..., nb:, 2] = grads[..., 0] / _SQRT2
+    return out
+
+
+def _voigt_traction(stress, normal):
+    """Traction S.n from Voigt stresses (..., 3) and normals broadcastable (..., 2)."""
+    s12 = stress[..., 2] / _SQRT2
+    t1 = stress[..., 0] * normal[..., 0] + s12 * normal[..., 1]
+    t2 = s12 * normal[..., 0] + stress[..., 1] * normal[..., 1]
+    return np.stack([t1, t2], axis=-1)
+
+
+def _trace_values(values):
+    """Vector DOF traces (..., 2*nb, 2) from scalar basis values (..., nb)."""
+    nb = values.shape[-1]
+    out = np.zeros(values.shape[:-1] + (2 * nb, 2))
+    out[..., :nb, 0] = values
+    out[..., nb:, 1] = values
+    return out
+
+
+def _voigt_strain(g):
+    """Voigt strain from gradient arrays (..., 2, 2) with [component, derivative]."""
+    e12 = 0.5 * (g[..., 0, 1] + g[..., 1, 0])
+    return np.stack([g[..., 0, 0], g[..., 1, 1], _SQRT2 * e12], axis=-1)
+
+
+def _triplets(n, rows, cols, values):
+    """CSR matrix of the concatenated triplet lists, duplicates summed."""
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    return sp.coo_matrix((np.concatenate(values), ij), shape=(n, n)).tocsr()
+
+
+def _reference_edge_triplets(space, C, ids, arity, alpha0, beta0):
+    """Consistency and penalty triplets (rows, cols, kc, kp) of edges of one arity."""
+    nd = space.dofs_per_element
+    wq = space.edge_weights
+    edges = space.mesh.edges
+    normal, length = edges.normal[ids], edges.length[ids]
+    signs, cavg = ((1.0, -1.0), 0.5) if arity == 2 else ((1.0,), 1.0)
+    traces, tractions, dofs = [], [], []
+    for side in range(arity):
+        _, vals, grads = space.edge_traces(ids, side)
+        traces.append(_trace_values(vals))
+        tractions.append(_voigt_traction(_strain_voigt_basis(grads) @ C.T, normal[:, None, None, :]))
+        dofs.append(edges.elems[ids, side][:, None] * nd + np.arange(nd)[None, :])
+    pen = alpha0 / length**beta0
+    rows, cols, consist, penalty = [], [], [], []
+    for r in range(arity):
+        for s in range(arity):
+            t1 = np.einsum("eqaz,eqbz,q,e->eab", traces[r], tractions[s], wq, length)
+            t2 = np.einsum("eqaz,eqbz,q,e->eab", tractions[r], traces[s], wq, length)
+            kc = -cavg * (signs[r] * t1 + signs[s] * t2)
+            kp = np.einsum("eqaz,eqbz,q,e->eab", traces[r], traces[s], wq, length * pen)
+            rows.append(np.broadcast_to(dofs[r][:, :, None], kc.shape).ravel())
+            cols.append(np.broadcast_to(dofs[s][:, None, :], kc.shape).ravel())
+            consist.append(kc.ravel())
+            penalty.append((kp * (signs[r] * signs[s])).ravel())
+    return rows, cols, consist, penalty
+
+
+def reference_assembly(space, material, alpha0, beta0, f, g_N, u0, grad_u0):
+    """Oracle for the block assembly: dict of the SIPG matrices "A", "J",
+    "A_vol", the rho-weighted mass "M", the load vector "load" of (f, g_N)
+    and the elliptic right-hand side "rhs" of (u0, grad_u0), all assembled
+    from per-element and per-edge einsums and summed triplets."""
+    C = material.elastic_voigt
+    nd = space.dofs_per_element
+    nt, n = space.mesh.n_triangles, space.total_dofs
+    wq = space.edge_weights
+    edges = space.mesh.edges
+    interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
+    dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
+    neumann = np.flatnonzero(edges.tag == EdgeTag.NEUMANN)
+    base = np.arange(nt)[:, None, None] * nd
+    block_rows = np.broadcast_to(base + np.arange(nd)[None, :, None], (nt, nd, nd)).ravel()
+    block_cols = np.broadcast_to(base + np.arange(nd)[None, None, :], (nt, nd, nd)).ravel()
+    out = {}
+
+    mref = np.einsum("q,qi,qj->ij", space.elem_weights, space.ref_values, space.ref_values)
+    block = np.kron(np.eye(2), mref)
+    mass = material.rho * space.det_jac[:, None, None] * block[None, :, :]
+    out["M"] = _triplets(n, [block_rows], [block_cols], [mass.ravel()])
+
+    gp = np.einsum("qia,tab->tqib", space.ref_grads, space.jac_inv)
+    eps = _strain_voigt_basis(gp)  # (nt, nq, nd, 3)
+    k = np.einsum("tqas,tqbs,q,t->tab", eps @ C.T, eps, space.elem_weights, space.det_jac)
+    out["A_vol"] = _triplets(n, [block_rows], [block_cols], [k.ravel()])
+
+    rows, cols, consist, penalty = [], [], [], []
+    for ids, arity in ((interior, 2), (dirichlet, 1)):
+        r, c, kc, kp = _reference_edge_triplets(space, C, ids, arity, alpha0, beta0)
+        rows += r
+        cols += c
+        consist += kc
+        penalty += kp
+    out["J"] = _triplets(n, rows, cols, penalty)
+    out["A"] = out["A_vol"] + _triplets(n, rows, cols, consist) + out["J"]
+
+    # load vector (f, v) + (g_N, v) on the Neumann edges
+    xq = space.physical_quad_points()
+    wdet = space.elem_weights[None, :] * space.det_jac[:, None]
+    fx, fy = f(xq[..., 0], xq[..., 1])
+    fvals = np.stack([np.broadcast_to(fx, wdet.shape), np.broadcast_to(fy, wdet.shape)], axis=-1)
+    load = np.einsum("tqc,tq,qi->tci", fvals, wdet, space.ref_values).ravel()
+    x, vals, _ = space.edge_traces(neumann, 0)
+    gx, gy = g_N(x[..., 0], x[..., 1], edges.normal[neumann][:, None, :])
+    gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+    loc = np.einsum("eqz,eqaz,q,e->ea", gvals, _trace_values(vals), wq, edges.length[neumann])
+    np.add.at(load, (edges.elems[neumann, 0][:, None] * nd + np.arange(nd)).ravel(), loc.ravel())
+    out["load"] = load
+
+    # elliptic right-hand side a(u0, v)
+    sig0 = _voigt_strain(grad_array(grad_u0, xq)) @ C.T
+    rhs = np.einsum("tqs,tqas,q,t->ta", sig0, eps, space.elem_weights, space.det_jac).ravel()
+    for ids, signs in ((interior, (1.0, -1.0)), (dirichlet, (1.0,))):
+        length = edges.length[ids]
+        for side, sign in enumerate(signs):
+            x, vals, _ = space.edge_traces(ids, side)
+            if side == 0:
+                sig_e = _voigt_strain(grad_array(grad_u0, x)) @ C.T
+                tn0 = _voigt_traction(sig_e, edges.normal[ids][:, None, :])
+            loc = -sign * np.einsum("eqz,eqaz,q,e->ea", tn0, _trace_values(vals), wq, length)
+            dofs = edges.elems[ids, side][:, None] * nd + np.arange(nd)[None, :]
+            np.add.at(rhs, dofs.ravel(), loc.ravel())
+    normal, length = edges.normal[dirichlet], edges.length[dirichlet]
+    x, vals, grads = space.edge_traces(dirichlet, 0)
+    ux, uy = u0(x[..., 0], x[..., 1])
+    uvals = np.stack(np.broadcast_arrays(ux, uy), axis=-1)
+    tn_b = _voigt_traction(_strain_voigt_basis(grads) @ C.T, normal[:, None, None, :])
+    loc = -np.einsum("eqaz,eqz,q,e->ea", tn_b, uvals, wq, length)
+    loc += np.einsum("eqz,eqaz,q,e->ea", uvals, _trace_values(vals), wq, length * alpha0 / length**beta0)
+    dofs = edges.elems[dirichlet, 0][:, None] * nd + np.arange(nd)[None, :]
+    np.add.at(rhs, dofs.ravel(), loc.ravel())
+    out["rhs"] = rhs
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -180,6 +180,18 @@ def test_main_negative_final_time_exit_code(capfd):
         parse_config("T = 0")
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--T", "inf"), ("--dt", "nan"), ("--alpha0", "inf"), ("--T", "1e400")]
+)
+def test_main_non_finite_value_exit_code(capfd, flag, value):
+    args = {"--study": "single", "--k": "1", "--n": "2", "--dt": "1/4", "--T": "1"}
+    args[flag] = value
+    assert main([item for pair in args.items() for item in pair]) == 2
+    assert "config error: bad value" in capfd.readouterr().err
+    with pytest.raises(ValueError, match="finite"):
+        _parse_number(value)
+
+
 def test_main_missing_config_file(capfd):
     assert main(["--config", "/no/such/file.cfg"]) == 2
     capfd.readouterr()

@@ -3,32 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from viscodg.assembly import assemble_system
-from viscodg.linalg import SolverError, factor, from_triplets, minimum_degree_order
+from viscodg.linalg import SolverError, factor, minimum_degree_order
 from viscodg.mesh import build_structured_mesh
 from viscodg.space import DGSpace
 from viscodg.stepper import Scheme, SchemeCoefficients, step_matrix
-
-
-def test_from_triplets_sums_duplicates():
-    m = from_triplets(3, [0, 0, 1, 2], [0, 0, 1, 0], [1.0, 2.0, 5.0, -1.0])
-    dense = m.toarray()
-    assert dense[0, 0] == 3.0
-    assert dense[1, 1] == 5.0
-    assert dense[2, 0] == -1.0
-    assert m.nnz == 3
-
-
-def test_from_triplets_rejects_out_of_range():
-    with pytest.raises(IndexError):
-        from_triplets(2, [0, 2], [0, 0], [1.0, 1.0])
-    with pytest.raises(IndexError):
-        from_triplets(2, [0], [-1], [1.0])
-
-
-def test_from_triplets_empty():
-    m = from_triplets(4, [], [], [])
-    assert m.shape == (4, 4)
-    assert m.nnz == 0
 
 
 def _random_spd(n, rng):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mesh_text, scrambled_mesh_input
+
 from viscodg.assembly import assemble_system
 from viscodg.errors import error_norms
 from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh, read_mesh
@@ -18,13 +20,6 @@ def _areas(m):
 
 def _centroids(m):
     return m.vertices[m.triangles].mean(axis=1)
-
-
-def _mesh_text(vertices, triangles):
-    lines = [f"{len(vertices)} {len(triangles)}"]
-    lines += [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
-    lines += [f"{a} {b} {c}" for a, b, c in triangles]
-    return "\n".join(lines)
 
 
 def _reference_edges(vertices, triangles):
@@ -130,7 +125,7 @@ def test_element_geometry_examples():
 
 def test_ascii_roundtrip():
     m = build_structured_mesh(2)
-    m2 = read_mesh(_mesh_text(m.vertices, m.triangles))
+    m2 = read_mesh(mesh_text(m.vertices, m.triangles))
     assert m2.n_triangles == m.n_triangles
     assert len(m2.edges) == len(m.edges)
     assert np.array_equal(m2.edges.tag, m.edges.tag)
@@ -152,33 +147,20 @@ def test_rejects_zero_area_triangle():
 def test_rejects_mesh_without_dirichlet_edge():
     m = build_structured_mesh(2)
     with pytest.raises(ValueError, match="Dirichlet"):
-        read_mesh(_mesh_text(m.vertices + 1.0, m.triangles))
+        read_mesh(mesh_text(m.vertices + 1.0, m.triangles))
 
 
 def test_rejects_boundary_off_the_unit_square():
     # shifted to [-1,0]x[0,1], x=-1 and x=0 would both pass for Dirichlet sides
     m = build_structured_mesh(2)
     with pytest.raises(ValueError, match="unit square"):
-        read_mesh(_mesh_text(m.vertices - [1.0, 0.0], m.triangles))
+        read_mesh(mesh_text(m.vertices - [1.0, 0.0], m.triangles))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
-    rng = np.random.default_rng(seed)
-    base = build_structured_mesh(n)
-    v = base.vertices.copy()
-    inner = np.all((v > 0) & (v < 1), axis=-1)
-    # well below half the smallest altitude, so no triangle inverts
-    v[inner] += rng.uniform(-0.2, 0.2, size=(inner.sum(), 2)) / n
-    relabel = rng.permutation(len(v))
-    vertices = np.empty_like(v)
-    vertices[relabel] = v
-    triangles = relabel[base.triangles][rng.permutation(base.n_triangles)]
-    flip = rng.random(len(triangles)) < 0.5
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-
-    m = read_mesh(_mesh_text(vertices, triangles))
+    m = read_mesh(mesh_text(*scrambled_mesh_input(n, np.random.default_rng(seed))))
     e = m.edges
     assert np.all(_areas(m) > 0)
     boundary = e.elems[:, 1] < 0
@@ -247,16 +229,9 @@ def _short_run_norms(mesh, case):
 def test_element_numbering_does_not_change_the_solution(case, seed):
     # the elements come back in elimination order whatever order they were
     # given in; the discrete solution is the same up to rounding
-    rng = np.random.default_rng(seed)
     base = build_structured_mesh(4)
-    relabel = rng.permutation(base.n_vertices)
-    vertices = np.empty_like(base.vertices)
-    vertices[relabel] = base.vertices
-    given_triangles = relabel[base.triangles][rng.permutation(base.n_triangles)]
-    flip = rng.random(len(given_triangles)) < 0.5
-    given_triangles[flip] = given_triangles[flip][:, [0, 2, 1]]
-
-    m = read_mesh(_mesh_text(vertices, given_triangles))
+    vertices, given_triangles = scrambled_mesh_input(4, np.random.default_rng(seed), amplitude=0.0)
+    m = read_mesh(mesh_text(vertices, given_triangles))
     # each given triangle appears exactly once
     assert sorted(map(sorted, m.triangles.tolist())) == sorted(map(sorted, given_triangles.tolist()))
     assert np.all(_areas(m) > 0)
