@@ -244,16 +244,24 @@ def _scatter(n: int, dofs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(dofs.ravel(), weights=values.ravel(), minlength=n)
 
 
+def _coordinates(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous x and y arrays of points (..., 2)."""
+    return np.ascontiguousarray(points[..., 0]), np.ascontiguousarray(points[..., 1])
+
+
 class LoadAssembler:
     """Caches quadrature geometry so per-step load assembly is cheap."""
 
     def __init__(self, space: DGSpace):
         self.space = space
-        self.xq = space.physical_quad_points()  # (nt, nq, 2)
+        # the same contiguous coordinate arrays go to the forcing on every
+        # call, so a forcing that memoizes on its points compares them cheaply
+        self.xq = _coordinates(space.physical_quad_points())  # 2 x (nt, nq)
         self.wdet = space.elem_weights[None, :] * space.det_jac[:, None]
         edges = space.mesh.edges
         self.neumann = np.flatnonzero(edges.tag == EdgeTag.NEUMANN)
-        self.n_x, vals, _ = space.edge_traces(self.neumann, 0)
+        n_x, vals, _ = space.edge_traces(self.neumann, 0)
+        self.n_x = _coordinates(n_x)  # 2 x (ne, nqe)
         n_w = space.edge_weights[None, :] * edges.length[self.neumann][:, None]
         self.n_wvals = np.swapaxes(vals * n_w[:, :, None], 1, 2)  # (ne, nb, nqe)
         self.n_normal = edges.normal[self.neumann]
@@ -269,11 +277,13 @@ class LoadAssembler:
         nt, nb = space.mesh.n_triangles, space.dofs_per_component
         loc = np.zeros((nt, 2, nb))
         if f is not None:
-            for c, fc in enumerate(f(self.xq[..., 0], self.xq[..., 1])):
+            # one (nt, nq) @ (nq, nb) product per component: stacking the two
+            # components for a single product copies more than it saves
+            for c, fc in enumerate(f(*self.xq)):
                 loc[:, c] = (fc * self.wdet) @ space.ref_values
         out = loc.ravel()
         if g_N is not None and len(self.neumann):
-            gx, gy = g_N(self.n_x[..., 0], self.n_x[..., 1], self.n_normal[:, None, :])
+            gx, gy = g_N(*self.n_x, self.n_normal[:, None, :])
             gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)  # (ne, nqe, 2)
             out += _scatter(len(out), self.n_dofs, np.swapaxes(self.n_wvals @ gvals, 1, 2))
         return out

@@ -31,7 +31,8 @@ class Factorization:
     _lu: spla.SuperLU
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(b)
+        # _lu factors the transpose of the matrix (see ``factor``)
+        x = self._lu.solve(b, trans="T")
         nb = np.linalg.norm(b)
         if nb > 0:
             res = np.linalg.norm(self.matrix @ x - b) / nb
@@ -67,10 +68,17 @@ def factor(K: sp.csr_matrix) -> Factorization:
 
     A pivot threshold of 0.01 keeps SuperLU on the diagonal, as it advises
     for SymmetricMode; off-diagonal pivots of an SPD matrix only add fill.
+    SuperLU takes CSC; the CSR arrays of K are the CSC arrays of K^T, so K^T is
+    factored without a copy and ``solve`` applies it transposed.  That keeps
+    every solve exact for K, which is symmetric only to rounding.
     """
+    K = K.tocsr()
+    # splu sums duplicates in place in the arrays it is given, which are K's;
+    # do it on K itself (a no-op for a canonical matrix) so K stays consistent
+    K.sum_duplicates()
     try:
         lu = spla.splu(
-            K.tocsc(),
+            sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape[::-1]),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.01,
             options={"SymmetricMode": True},

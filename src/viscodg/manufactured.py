@@ -9,6 +9,11 @@ Both components are separable, u_i = X_i(x, y) * T_i(t), so every
 hereditary integral reduces to a scalar convolution in time with a closed
 form.  All closed forms here are cross-checked in the test suite against an
 adaptive-quadrature convolution oracle.
+
+The forcing data are sums of fixed spatial fields times scalar functions of
+t, and a time stepper evaluates them at the same quadrature points on every
+time level.  ``ManufacturedCase`` therefore computes the spatial fields once
+per point set (``_FieldMemo``) and only scales them on later calls.
 """
 
 import numpy as np
@@ -20,6 +25,30 @@ def benchmark_material() -> PronyMaterial:
     return PronyMaterial(rho=1.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
 
 
+class _FieldMemo:
+    """One-entry memo of the fields ``build(x, y)`` computes from a point set.
+
+    The key is a copy of the points, compared by shape and value on every
+    call, so a caller that changes its arrays in place gets a miss, never a
+    stale entry.  ``build`` receives that copy and may return it as a field.
+    If ``build`` raises, the previous entry stays.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._key = None
+        self._fields = None
+
+    def __call__(self, x, y):
+        points = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        hit = self._key is not None and all(map(np.array_equal, self._key, points))
+        if not hit:
+            key = tuple(p.copy() for p in points)
+            self._fields = self._build(*key)
+            self._key = key
+        return self._fields
+
+
 class ManufacturedCase:
     """Exact fields and forcing data for the verification benchmark."""
 
@@ -29,6 +58,8 @@ class ManufacturedCase:
         self.material = material or benchmark_material()
         if self.material.elastic is not None:
             raise ValueError("the manufactured case assumes the identity elastic tensor")
+        self._body_memo = _FieldMemo(self._body_fields)
+        self._traction_memo = _FieldMemo(self._traction_fields)
 
     # scalar time convolutions -------------------------------------------------
 
@@ -98,26 +129,43 @@ class ManufacturedCase:
 
     # forcing data -------------------------------------------------------------
 
+    @staticmethod
+    def _body_fields(x, y):
+        """Spatial fields of the body force.
+
+        xy, sin xy, cos xy - xy sin xy and (x^2 + y^2/2) sin xy.
+        """
+        xy = x * y
+        s = np.sin(xy)
+        return xy, s, np.cos(xy) - xy * s, (x * x + 0.5 * y * y) * s
+
     def body_force(self, x, y, t):
         """f = rho*u_tt - div eps(u - sum_q psi_q) for the identity tensor."""
         rho = self.material.rho
         g1, g2 = self._time_factors(t)
-        s = np.sin(x * y)
-        c = np.cos(x * y)
-        f1 = rho * x * y * np.exp(1.0 - t) - 0.5 * (c - x * y * s) * g2
-        f2 = -rho * np.cos(t) * s - 0.5 * g1 + (x * x + 0.5 * y * y) * s * g2
+        xy, s, c1, c2 = self._body_memo(x, y)
+        f1 = (rho * np.exp(1.0 - t)) * xy - (0.5 * g2) * c1
+        f2 = (-rho * np.cos(t)) * s - 0.5 * g1 + g2 * c2
         return f1, f2
+
+    @staticmethod
+    def _stress_fields(x, y):
+        """Spatial fields of the stress: x, y, x cos xy, y cos xy."""
+        c = np.cos(x * y)
+        return x, y, x * c, y * c
+
+    @staticmethod
+    def _stress_of(fields, g1, g2):
+        """(s11, s22, s12) from the spatial fields and the time factors."""
+        x, y, xc, yc = fields
+        return y * g1, xc * g2, 0.5 * (x * g1 + yc * g2)
 
     def stress(self, x, y, t):
         """Viscoelastic stress from the displacement-form constitutive law.
 
         Returns Voigt-free components (s11, s22, s12).
         """
-        g1, g2 = self._time_factors(t)
-        s11 = y * g1
-        s22 = x * np.cos(x * y) * g2
-        s12 = 0.5 * (x * g1 + y * np.cos(x * y) * g2)
-        return s11, s22, s12
+        return self._stress_of(self._stress_fields(x, y), *self._time_factors(t))
 
     def stress_velocity(self, x, y, t):
         """Same stress from the velocity-form law (equivalent by identity)."""
@@ -133,19 +181,19 @@ class ManufacturedCase:
             - sum(p * self._kernel_sin(t, tau) for p, tau in zip(m.phis, m.taus))
             + sum(decay)
         )
-        s11 = y * g1
-        s22 = x * np.cos(x * y) * g2
-        s12 = 0.5 * (x * g1 + y * np.cos(x * y) * g2)
-        return s11, s22, s12
+        return self._stress_of(self._stress_fields(x, y), g1, g2)
 
-    def traction(self, x, y, t, n):
-        """g_N = sigma(u(t)) . n for points on the Neumann boundary."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    @classmethod
+    def _traction_fields(cls, x, y):
+        """The stress's spatial fields at points on the Neumann boundary."""
         on_neumann = np.isclose(x, 1.0) | np.isclose(y, 1.0)
         if not np.all(on_neumann):
             raise ValueError("traction requested off the Neumann boundary")
-        s11, s22, s12 = self.stress(x, y, t)
+        return cls._stress_fields(x, y)
+
+    def traction(self, x, y, t, n):
+        """g_N = sigma(u(t)) . n for points on the Neumann boundary."""
+        s11, s22, s12 = self._stress_of(self._traction_memo(x, y), *self._time_factors(t))
         n = np.asarray(n, dtype=float)
         g1 = s11 * n[..., 0] + s12 * n[..., 1]
         g2 = s12 * n[..., 0] + s22 * n[..., 1]

@@ -201,9 +201,13 @@ def run(
     """Integrate from t=0 to t=T with N = T/dt Crank-Nicolson steps.
 
     ``body_force(t)`` and ``traction(t)`` return fields bound to one time
-    level (or None for homogeneous loads).  ``diagnostics(state)`` is called
-    at every time level when given.  The step matrix is factored once, after
-    the first ``diagnostics`` call, and reused for every step.
+    level (or None for homogeneous loads).  Each field is called once per
+    time level, always at the same points (the element quadrature points,
+    and those of the Neumann edges), so a forcing may compute what depends on
+    the points alone once: ``ManufacturedCase`` evaluates its spatial factors
+    once per point set.  ``diagnostics(state)`` is called at every time level
+    when given.  The step matrix is factored once, after the first
+    ``diagnostics`` call, and reused for every step.
     """
     if T < 0:
         raise ValueError(f"final time T={T} is negative")

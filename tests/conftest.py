@@ -41,6 +41,25 @@ def internal_kernel_constant_history(m: PronyMaterial, q: int, c: float, t: floa
     return m.phis[q] * c * (1.0 - np.exp(-t / m.taus[q]))
 
 
+def body_force_oracle(case, x, y, t):
+    """The manufactured body force evaluated directly from its closed form,
+    with no memo: f = rho*u_tt - div eps(u - sum_q psi_q)."""
+    rho = case.material.rho
+    g1, g2 = case._time_factors(t)
+    s = np.sin(x * y)
+    c = np.cos(x * y)
+    f1 = rho * x * y * np.exp(1.0 - t) - 0.5 * (c - x * y * s) * g2
+    f2 = -rho * np.cos(t) * s - 0.5 * g1 + (x * x + 0.5 * y * y) * s * g2
+    return f1, f2
+
+
+def traction_oracle(case, x, y, t, n):
+    """sigma(u(t)) . n from the closed-form stress, with no memo and no boundary check."""
+    s11, s22, s12 = case.stress(x, y, t)
+    n = np.asarray(n, dtype=float)
+    return s11 * n[..., 0] + s12 * n[..., 1], s12 * n[..., 0] + s22 * n[..., 1]
+
+
 def block_step_oracle(system, material, co, state, f_avg):
     """Dense solve of the unreduced one-step system (momentum + midpoint +
     internal-variable recurrences) as an oracle for the eliminated scheme."""

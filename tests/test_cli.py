@@ -1,9 +1,14 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscodg.cli import (
+    _SCHEMES,
+    _STUDIES,
     CSV_HEADER,
     ConfigError,
     StudyConfig,
@@ -68,6 +73,58 @@ def test_parse_material_override():
     m = cfg.material()
     assert m.phi0 == 0.25
     assert m.phis == (0.5, 0.25)
+
+
+def _render(cfg: StudyConfig) -> str:
+    """``key = value`` lines that describe cfg, one per field that is set."""
+
+    def text(value):
+        if isinstance(value, (list, tuple)):
+            return ", ".join(map(text, value))
+        if value is None:
+            return "h"  # the only None in a list is the dt = 1/n sentinel
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "\n".join(
+        f"{f.name} = {text(getattr(cfg, f.name))}"
+        for f in dataclasses.fields(cfg)
+        if getattr(cfg, f.name) is not None
+    )
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    T = draw(_floats(0.01, 10.0))
+    phis = draw(st.lists(_floats(0.01, 0.3), min_size=1, max_size=3))
+    out = st.text("abcXYZ019._-/", min_size=1, max_size=12)
+    dt = st.none() | st.integers(1, 4096).map(lambda m: T / m)  # None is dt = h
+    return StudyConfig(
+        study=draw(st.sampled_from(_STUDIES)),
+        scheme=draw(st.sampled_from(_SCHEMES)),
+        k=draw(st.integers(1, 5)),
+        ns=draw(st.lists(st.integers(1, 256), min_size=1, max_size=4)),
+        dts=draw(st.lists(dt, min_size=1, max_size=4)),
+        T=T,
+        alpha0=draw(_floats(1e-3, 1e3)),
+        beta0=draw(_floats(1.0, 4.0)),
+        rho=draw(_floats(0.1, 10.0)),
+        phi0=1.0 - sum(phis),
+        phis=tuple(phis),
+        taus=tuple(draw(st.lists(_floats(0.01, 100.0), min_size=len(phis), max_size=len(phis)))),
+        out=draw(st.one_of(st.none(), out)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_configs())
+def test_config_round_trip(cfg):
+    cfg.validate()
+    text = _render(cfg)
+    assert parse_config(text) == cfg, text
 
 
 def test_parse_errors():

@@ -27,6 +27,20 @@ def test_factor_solve_roundtrip(rng):
         assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-10
 
 
+def test_solve_is_exact_for_a_non_symmetric_matrix(rng):
+    # factor hands SuperLU the transpose and solves transposed; on a
+    # non-symmetric matrix a plain solve would leave a large residual
+    n = 40
+    B = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    K = sp.csr_matrix(B + np.diag(np.abs(B).sum(axis=1) + 1.0))
+    assert abs(K - K.T).max() > 0.5
+    F = factor(K)
+    for _ in range(4):
+        b = rng.standard_normal(n)
+        x = F.solve(b)
+        assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-10
+
+
 def test_zero_rhs(rng):
     K = _random_spd(8, rng)
     x = factor(K).solve(np.zeros(8))

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from conftest import body_force_oracle, traction_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscodg.manufactured import (
     ManufacturedCase,
@@ -10,6 +15,7 @@ from viscodg.manufactured import (
     stress_oracle,
 )
 from viscodg.material import PronyMaterial, relaxation
+from viscodg.stepper import Scheme, run
 
 SAMPLE_POINTS = [(0.3, 0.7), (1.0, 0.25), (0.8, 1.0)]
 SAMPLE_TIMES = [0.15, 0.5, 1.0]
@@ -201,3 +207,109 @@ def test_time_bound_closures(case):
     assert np.allclose(u(0.3, 0.7), case.displacement(0.3, 0.7, t))
     w = case.velocity_at(t)
     assert np.allclose(w(0.3, 0.7), case.velocity(0.3, 0.7, t))
+
+
+def _close(got, ref):
+    scale = max(np.abs(r).max() for r in ref)
+    return max(np.abs(np.asarray(g) - r).max() for g, r in zip(got, ref)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rho=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_memoized_forcing_matches_closed_forms(data, rho, seed):
+    # interleaved point sets, scalars, in-place changes to the arrays between
+    # calls (the memo must miss) and a traction request off the boundary
+    # after a valid set was cached (it must still raise)
+    case = ManufacturedCase(PronyMaterial(rho, 0.5, (0.1, 0.4), (0.5, 1.5)))
+    rng = np.random.default_rng(seed)
+    shapes = st.sampled_from([(), (7,), (3, 5)])
+
+    def points(shape):
+        return float(rng.uniform()) if shape == () else rng.uniform(0.0, 1.0, shape)
+
+    body_sets, boundary_sets = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        shape = data.draw(shapes)
+        body_sets.append([points(shape), points(shape)])
+        # x = 1 with outward normal (1, 0), or y = 1 with normal (0, 1)
+        side = data.draw(st.integers(0, 1))
+        free = points(shape)
+        xy = [free, free]
+        xy[side] = np.ones(shape) if shape else 1.0
+        boundary_sets.append((xy, np.eye(2)[side], 1 - side))
+
+    ops = st.sampled_from(["body", "traction", "move_body", "move_boundary", "off_boundary"])
+    traction_cached = False
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(ops)
+        t = data.draw(st.floats(0.0, 2.0))
+        if op in ("body", "move_body"):
+            x, y = body_sets[data.draw(st.integers(0, len(body_sets) - 1))]
+            if op == "move_body" and np.ndim(x):
+                x += rng.uniform(-0.1, 0.1, x.shape)
+                y *= 0.5
+            assert _close(case.body_force(x, y, t), body_force_oracle(case, x, y, t))
+        elif op in ("traction", "move_boundary"):
+            xy, n, free = boundary_sets[data.draw(st.integers(0, len(boundary_sets) - 1))]
+            if op == "move_boundary" and np.ndim(xy[free]):
+                xy[free] *= 0.5
+            got = case.traction(*xy, t, n)
+            assert _close(got, traction_oracle(case, *xy, t, n))
+            traction_cached = True
+        elif traction_cached:
+            x, y = body_sets[0]
+            with pytest.raises(ValueError):
+                case.traction(np.minimum(x, 0.9), np.minimum(y, 0.9), t, np.array([1.0, 0.0]))
+            xy, n, _ = boundary_sets[0]
+            assert _close(case.traction(*xy, t, n), traction_oracle(case, *xy, t, n))
+
+
+def test_spatial_fields_are_built_once_per_point_set(monkeypatch, small_setup):
+    # over whole runs, each forcing kind builds its spatial fields once: the
+    # load assembler passes the same points on every time level
+    calls = Counter()
+    for name in ("_body_fields", "_traction_fields"):
+        build = getattr(ManufacturedCase, name)
+
+        def counted(x, y, build=build, name=name):
+            calls[name] += 1
+            return build(x, y)
+
+        monkeypatch.setattr(ManufacturedCase, name, staticmethod(counted))
+    case = ManufacturedCase()
+
+    def counted_at(at, name):
+        def bound(t):
+            field = at(t)
+
+            def evaluate(*args):
+                calls[name] += 1
+                return field(*args)
+
+            return evaluate
+
+        return bound
+
+    _, space, system = small_setup
+    n_steps, dt = 8, 1.0 / 16
+    for scheme in Scheme:
+        run(
+            scheme,
+            space,
+            system,
+            case.material,
+            n_steps * dt,
+            dt,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+            body_force=counted_at(case.body_force_at, "body_force"),
+            traction=counted_at(case.traction_at, "traction"),
+        )
+    evaluations = 2 * (n_steps + 1)
+    assert calls == {
+        "body_force": evaluations,
+        "traction": evaluations,
+        "_body_fields": 1,
+        "_traction_fields": 1,
+    }
