@@ -26,6 +26,7 @@ differ in the last bits, and entries that cancel may keep a round-off
 residue (about 1e-16 max|A|) instead of an exact zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,36 +51,6 @@ def elasticity_tensor(material: PronyMaterial) -> np.ndarray:
 def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Stresses (..., 2, 2) of displacement gradients (..., 2, 2)."""
     return (g.reshape(g.shape[:-2] + (4,)) @ D.reshape(4, 4).T).reshape(g.shape)
-
-
-def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
-    """Average of D eps(v), jump [v] and jump [v (x) n] at the quadrature points of one edge.
-
-    For an interior edge the jump is trace(E_i) - trace(E_j) with i < j; on a
-    boundary edge the average is the single trace and the vector jump is the
-    trace itself.  Returns (avg_stress (nqe, 2, 2), jump (nqe, 2),
-    jump_outer (nqe, 2, 2)).  The stress here is with identity D; callers
-    needing a material apply its tensor to the strain first.
-    """
-    edges = space.mesh.edges
-    nb = space.dofs_per_component
-    incident = edges.elems[edge][edges.elems[edge] >= 0]
-    traces = []
-    stresses = []
-    for side, elem in enumerate(incident):
-        _, vals, grads = space.edge_traces(np.array([edge]), side)
-        c = coeffs.reshape(space.mesh.n_triangles, 2, nb)[elem]
-        g = c @ grads[0]  # (nqe, 2, 2)
-        traces.append(vals[0] @ c.T)
-        stresses.append(0.5 * (g + np.swapaxes(g, -1, -2)))
-    if len(incident) == 2:
-        avg = 0.5 * (stresses[0] + stresses[1])
-        jump = traces[0] - traces[1]
-    else:
-        avg = stresses[0]
-        jump = traces[0]
-    jump_outer = jump[..., :, None] * edges.normal[edge][None, None, :]
-    return avg, jump, jump_outer
 
 
 def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
@@ -180,15 +151,15 @@ def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alp
 
 
 def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0: float):
-    """Full SIPG matrix A, jump-penalty matrix J and volume strain energy A_vol.
+    """Full SIPG matrix A and its jump-penalty part J.
 
-    A = A_vol - symmetrized consistency edge terms + J, with edge terms over
-    interior and Dirichlet edges only.
+    A = volume strain energy - symmetrized consistency edge terms + J, with
+    edge terms over interior and Dirichlet edges only.
     """
-    if alpha0 <= 0:
-        raise ValueError("penalty parameter alpha0 must be positive")
-    if beta0 < 1:
-        raise ValueError("penalty exponent beta0 must be >= 1 in 2D")
+    if not (math.isfinite(alpha0) and alpha0 > 0):
+        raise ValueError(f"penalty parameter alpha0={alpha0} must be positive and finite")
+    if not (math.isfinite(beta0) and beta0 >= 1):
+        raise ValueError(f"penalty exponent beta0={beta0} must be finite and >= 1 in 2D")
     D = elasticity_tensor(material)
     nt, nd = space.mesh.n_triangles, space.dofs_per_element
     edges = space.mesh.edges
@@ -207,10 +178,9 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     indices = cols[order]
     diag, upper, lower = np.split(slot, [nt, nt + len(interior)])
 
-    vol = _volume_blocks(space, D)
     a_data = np.zeros((len(slot), nd, nd))
     j_data = np.zeros_like(a_data)
-    a_data[diag] = vol
+    a_data[diag] = _volume_blocks(space, D)
     for ids, arity in ((interior, 2), (dirichlet, 1)):
         for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0, beta0):
             if r == s:
@@ -229,8 +199,7 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     a_data += j_data
     J = _csr(j_data, indices, indptr)
     del j_data  # the two block arrays are the largest temporaries of assembly
-    A = _csr(a_data, indices, indptr)
-    return A, J, _block_diagonal(vol)
+    return _csr(a_data, indices, indptr), J
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
@@ -348,13 +317,11 @@ def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """All matrices a run needs, plus the penalty parameters that built them."""
+    """The three matrices of the schemes, plus the penalty parameters that built them."""
 
     M: sp.csr_matrix  # rho-weighted mass
-    M0: sp.csr_matrix  # plain mass
     A: sp.csr_matrix  # full SIPG form
     J: sp.csr_matrix  # jump penalty part
-    A_vol: sp.csr_matrix  # element strain-energy part (for energy norms)
     alpha0: float
     beta0: float
 
@@ -362,13 +329,5 @@ class AssembledSystem:
 def assemble_system(
     space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
 ) -> AssembledSystem:
-    A, J, A_vol = assemble_sipg(space, material, alpha0, beta0)
-    return AssembledSystem(
-        M=assemble_mass(space, material.rho),
-        M0=assemble_mass(space, 1.0),
-        A=A,
-        J=J,
-        A_vol=A_vol,
-        alpha0=alpha0,
-        beta0=beta0,
-    )
+    A, J = assemble_sipg(space, material, alpha0, beta0)
+    return AssembledSystem(assemble_mass(space, material.rho), A, J, alpha0, beta0)

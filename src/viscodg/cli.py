@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import assemble_system
+from .assembly import assemble_system, assemble_volume_stiffness
 from .errors import convergence_rate, error_norms
 from .linalg import SolverError
 from .manufactured import ManufacturedCase
@@ -249,7 +249,7 @@ def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
     dt = cfg.dts[0] if cfg.dts[0] is not None else 1.0 / n
     space, system = _discretization(cfg, n, cache)
     case = ManufacturedCase(cfg.material())
-    energy_matrix = system.A_vol + system.J
+    energy_matrix = assemble_volume_stiffness(space, case.material) + system.J
 
     for scheme in cfg.schemes():
         maxima = {}

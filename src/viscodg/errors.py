@@ -92,11 +92,10 @@ def error_norms(
     case,
     space: DGSpace,
     system: AssembledSystem,
-    material: PronyMaterial | None = None,
     dt: float = 0.0,
 ) -> ErrorReport:
     """All six error norms of a state against the exact fields of ``case``."""
-    material = material or case.material
+    material = case.material
     t = state.t
     u_l2, u_h1, u_en = _field_error_norms(
         space,

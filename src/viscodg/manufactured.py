@@ -215,84 +215,3 @@ class ManufacturedCase:
 
     def velocity_at(self, t):
         return lambda x, y: self.velocity(x, y, t)
-
-
-# numerical convolution oracle -------------------------------------------------
-
-
-def adaptive_convolution(f, t: float, tol: float = 1e-12, max_halvings: int = 24) -> float:
-    """int_0^t f(s) ds by composite Gauss-Legendre, panels halved to tolerance."""
-    if t == 0.0:
-        return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    prev = None
-    panels = 1
-    for _ in range(max_halvings):
-        edges = np.linspace(0.0, t, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
-        total = float(np.dot(w, f(s)))
-        if prev is not None and abs(total - prev) < tol:
-            return total
-        prev = total
-        panels *= 2
-    return prev
-
-
-def internal_displacement_oracle(case: ManufacturedCase, q, x, y, t):
-    """psi_q by direct quadrature of its defining convolution."""
-    m = case.material
-    p, tau = m.phis[q], m.taus[q]
-
-    def comp(i):
-        def f(s):
-            u = case.displacement(x, y, s)
-            return (p / tau) * np.exp(-(t - s) / tau) * u[i]
-
-        return adaptive_convolution(f, t)
-
-    return comp(0), comp(1)
-
-
-def internal_velocity_oracle(case: ManufacturedCase, q, x, y, t):
-    """zeta_q by direct quadrature of its defining convolution."""
-    m = case.material
-    p, tau = m.phis[q], m.taus[q]
-
-    def comp(i):
-        def f(s):
-            w = case.velocity(x, y, s)
-            return p * np.exp(-(t - s) / tau) * w[i]
-
-        return adaptive_convolution(f, t)
-
-    return comp(0), comp(1)
-
-
-def stress_oracle(case: ManufacturedCase, x, y, t):
-    """Stress by quadrature of the hereditary law with the Prony kernel.
-
-    sigma(t) = phi(t) eps(u(0)) + int_0^t phi(t-s) eps(u_dot(s)) ds for the
-    identity elastic tensor.  Returns (s11, s22, s12).
-    """
-    from .material import relaxation
-
-    m = case.material
-
-    def eps_of_grad(g):
-        (g11, g12), (g21, g22) = g
-        return g11, g22, 0.5 * (g12 + g21)
-
-    eps0 = eps_of_grad(case.grad_displacement(x, y, 0.0))
-
-    def comp(i):
-        def f(s):
-            deps = eps_of_grad(case.grad_velocity(x, y, s))
-            return relaxation(m, t - s) * deps[i]
-
-        return adaptive_convolution(f, t)
-
-    phi_t = relaxation(m, t)
-    return tuple(phi_t * eps0[i] + comp(i) for i in range(3))

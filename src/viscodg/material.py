@@ -6,6 +6,7 @@ stiffness).  The elastic tensor is either the identity (used by the
 verification benchmark) or isotropic with Lame parameters.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class PronyMaterial:
     def __post_init__(self):
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        values = (self.rho, self.phi0) + self.phis + self.taus
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"rho, phi0, phi_q and tau_q must be finite, got {values}")
         if self.rho <= 0:
             raise ValueError("density must be positive")
         if self.phi0 <= 0:
@@ -59,12 +63,3 @@ class PronyMaterial:
                 [0.0, 0.0, 2 * mu],
             ]
         )
-
-
-def relaxation(m: PronyMaterial, t) -> np.ndarray | float:
-    """Stress relaxation function phi(t) for t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("relaxation time must be nonnegative")
-    out = m.phi0 + sum(p * np.exp(-t / tau) for p, tau in zip(m.phis, m.taus))
-    return float(out) if out.ndim == 0 else out

@@ -127,18 +127,8 @@ class DGSpace:
     det_jac: np.ndarray  # (nt,)
 
     @classmethod
-    def build(
-        cls,
-        mesh: TriMesh,
-        degree: int,
-        elem_order: int | None = None,
-        edge_order: int | None = None,
-    ) -> "DGSpace":
+    def build(cls, mesh: TriMesh, degree: int) -> "DGSpace":
         (qp, qw), (ep, ew) = quadrature_rules(degree)
-        if elem_order is not None:
-            qp, qw = triangle_quadrature(elem_order)
-        if edge_order is not None:
-            ep, ew = edge_quadrature(edge_order)
         vals, grads = reference_basis(degree, qp)
         p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
         v0 = p[:, 0]
@@ -162,10 +152,6 @@ class DGSpace:
     @property
     def total_dofs(self) -> int:
         return self.mesh.n_triangles * self.dofs_per_element
-
-    def element_dofs(self, t: int) -> np.ndarray:
-        nd = self.dofs_per_element
-        return np.arange(t * nd, (t + 1) * nd)
 
     def physical_quad_points(self) -> np.ndarray:
         """Element quadrature points in physical coordinates, (nt, nq, 2)."""

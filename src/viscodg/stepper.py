@@ -26,6 +26,7 @@ The velocity scheme's exp-decaying load term in u0 is applied as A @ U0,
 which is exact because U0 is the elliptic projection of u0.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -66,8 +67,8 @@ class SchemeCoefficients:
 
     @classmethod
     def build(cls, material: PronyMaterial, dt: float) -> "SchemeCoefficients":
-        if dt <= 0:
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"time step dt={dt} must be positive and finite")
         taus = np.array(material.taus)
         phis = np.array(material.phis)
         a = (2 * taus - dt) / (2 * taus + dt)
@@ -111,7 +112,8 @@ def initialize(
         W = np.zeros(space.total_dofs)
     else:
         rhs = LoadAssembler(space).assemble(f=w0)
-        W = factor(system.M0).solve(rhs)
+        # M is rho-weighted, so scaling the load by rho gives the plain L2 projection
+        W = factor(system.M).solve(material.rho * rhs)
     internal = [np.zeros(space.total_dofs) for _ in range(n_internal)]
     return State(0, 0.0, U, W, internal, scheme)
 
@@ -209,13 +211,15 @@ def run(
     when given.  The step matrix is factored once, after the first
     ``diagnostics`` call, and reused for every step.
     """
+    coeffs = SchemeCoefficients.build(material, dt)
+    if not math.isfinite(T):
+        raise ValueError(f"final time T={T} must be finite")
     if T < 0:
         raise ValueError(f"final time T={T} is negative")
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
 
-    coeffs = SchemeCoefficients.build(material, dt)
     state = initialize(system, space, material, u0, grad_u0, w0, scheme)
 
     loads = LoadAssembler(space)

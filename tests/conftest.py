@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,7 @@ from viscodg.assembly import assemble_system, grad_array
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.mesh import EdgeTag, build_structured_mesh
-from viscodg.space import DGSpace
+from viscodg.space import DGSpace, edge_quadrature, reference_basis, triangle_quadrature
 from viscodg.stepper import Scheme
 
 
@@ -39,6 +41,139 @@ def internal_kernel_constant_history(m: PronyMaterial, q: int, c: float, t: floa
     if not 0 <= q < m.n_internal:
         raise IndexError(f"internal variable index {q} out of range")
     return m.phis[q] * c * (1.0 - np.exp(-t / m.taus[q]))
+
+
+def space_with_quadrature(mesh, degree, elem_order=None, edge_order=None) -> DGSpace:
+    """``DGSpace.build(mesh, degree)`` with its element or edge rule replaced
+    by one exact to the given order, for quadrature-convergence checks."""
+    space = DGSpace.build(mesh, degree)
+    changes = {}
+    if elem_order is not None:
+        qp, qw = triangle_quadrature(elem_order)
+        vals, grads = reference_basis(degree, qp)
+        changes.update(elem_points=qp, elem_weights=qw, ref_values=vals, ref_grads=grads)
+    if edge_order is not None:
+        ep, ew = edge_quadrature(edge_order)
+        changes.update(edge_points=ep, edge_weights=ew)
+    return dataclasses.replace(space, **changes)
+
+
+def relaxation(m: PronyMaterial, t) -> np.ndarray | float:
+    """Stress relaxation function phi(t) for t >= 0."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("relaxation time must be nonnegative")
+    out = m.phi0 + sum(p * np.exp(-t / tau) for p, tau in zip(m.phis, m.taus))
+    return float(out) if out.ndim == 0 else out
+
+
+# numerical convolution oracles of the manufactured case's closed forms
+
+
+def adaptive_convolution(f, t: float, tol: float = 1e-12, max_halvings: int = 24) -> float:
+    """int_0^t f(s) ds by composite Gauss-Legendre, panels halved to tolerance."""
+    if t == 0.0:
+        return 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    prev = None
+    panels = 1
+    for _ in range(max_halvings):
+        edges = np.linspace(0.0, t, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
+        total = float(np.dot(w, f(s)))
+        if prev is not None and abs(total - prev) < tol:
+            return total
+        prev = total
+        panels *= 2
+    return prev
+
+
+def internal_displacement_oracle(case: ManufacturedCase, q, x, y, t):
+    """psi_q by direct quadrature of its defining convolution."""
+    m = case.material
+    p, tau = m.phis[q], m.taus[q]
+
+    def comp(i):
+        def f(s):
+            u = case.displacement(x, y, s)
+            return (p / tau) * np.exp(-(t - s) / tau) * u[i]
+
+        return adaptive_convolution(f, t)
+
+    return comp(0), comp(1)
+
+
+def internal_velocity_oracle(case: ManufacturedCase, q, x, y, t):
+    """zeta_q by direct quadrature of its defining convolution."""
+    m = case.material
+    p, tau = m.phis[q], m.taus[q]
+
+    def comp(i):
+        def f(s):
+            w = case.velocity(x, y, s)
+            return p * np.exp(-(t - s) / tau) * w[i]
+
+        return adaptive_convolution(f, t)
+
+    return comp(0), comp(1)
+
+
+def stress_oracle(case: ManufacturedCase, x, y, t):
+    """Stress by quadrature of the hereditary law with the Prony kernel.
+
+    sigma(t) = phi(t) eps(u(0)) + int_0^t phi(t-s) eps(u_dot(s)) ds for the
+    identity elastic tensor.  Returns (s11, s22, s12).
+    """
+    m = case.material
+
+    def eps_of_grad(g):
+        (g11, g12), (g21, g22) = g
+        return g11, g22, 0.5 * (g12 + g21)
+
+    eps0 = eps_of_grad(case.grad_displacement(x, y, 0.0))
+
+    def comp(i):
+        def f(s):
+            deps = eps_of_grad(case.grad_velocity(x, y, s))
+            return relaxation(m, t - s) * deps[i]
+
+        return adaptive_convolution(f, t)
+
+    phi_t = relaxation(m, t)
+    return tuple(phi_t * eps0[i] + comp(i) for i in range(3))
+
+
+def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
+    """Average of D eps(v), jump [v] and jump [v (x) n] at the quadrature points of one edge.
+
+    For an interior edge the jump is trace(E_i) - trace(E_j) with i < j; on a
+    boundary edge the average is the single trace and the vector jump is the
+    trace itself.  Returns (avg_stress (nqe, 2, 2), jump (nqe, 2),
+    jump_outer (nqe, 2, 2)).  The stress here is with identity D; callers
+    needing a material apply its tensor to the strain first.
+    """
+    edges = space.mesh.edges
+    nb = space.dofs_per_component
+    incident = edges.elems[edge][edges.elems[edge] >= 0]
+    traces = []
+    stresses = []
+    for side, elem in enumerate(incident):
+        _, vals, grads = space.edge_traces(np.array([edge]), side)
+        c = coeffs.reshape(space.mesh.n_triangles, 2, nb)[elem]
+        g = c @ grads[0]  # (nqe, 2, 2)
+        traces.append(vals[0] @ c.T)
+        stresses.append(0.5 * (g + np.swapaxes(g, -1, -2)))
+    if len(incident) == 2:
+        avg = 0.5 * (stresses[0] + stresses[1])
+        jump = traces[0] - traces[1]
+    else:
+        avg = stresses[0]
+        jump = traces[0]
+    jump_outer = jump[..., :, None] * edges.normal[edge][None, None, :]
+    return avg, jump, jump_outer
 
 
 def body_force_oracle(case, x, y, t):

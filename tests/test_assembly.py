@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import average_jump
 
 from viscodg.assembly import (
+    AssembledSystem,
     LoadAssembler,
     assemble_elliptic_rhs,
     assemble_mass,
     assemble_sipg,
     assemble_system,
     assemble_volume_stiffness,
-    average_jump,
 )
 from viscodg.linalg import factor
 from viscodg.material import PronyMaterial
@@ -29,8 +32,9 @@ def test_p1_mass_block(small_setup):
     M = assemble_mass(space).toarray()
     area = 0.125
     ref = area / 12.0 * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
+    nd = space.dofs_per_element
     for t in (0, 3):
-        dofs = space.element_dofs(t)
+        dofs = np.arange(t * nd, (t + 1) * nd)
         block = M[np.ix_(dofs, dofs)]
         assert np.allclose(block[:3, :3], ref, atol=1e-14)
         assert np.allclose(block[3:, 3:], ref, atol=1e-14)
@@ -76,6 +80,15 @@ def test_sipg_parameter_validation(case, small_setup):
         assemble_sipg(space, case.material, 0.0, 1.0)
     with pytest.raises(ValueError):
         assemble_sipg(space, case.material, 10.0, 0.5)
+    # non-finite values, which a range check alone lets through (NaN fails every comparison)
+    for alpha0, beta0, name in (
+        (np.nan, 1.0, "alpha0=nan"),
+        (np.inf, 1.0, "alpha0=inf"),
+        (10.0, np.nan, "beta0=nan"),
+        (10.0, np.inf, "beta0=inf"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            assemble_sipg(space, case.material, alpha0, beta0)
 
 
 def test_sipg_symmetry_and_definiteness(small_setup, quadratic_setup):
@@ -95,7 +108,8 @@ def test_continuous_field_has_no_jump_energy(case, quadratic_setup):
     _, space, system = quadratic_setup
     v = space.interpolate(lambda x, y: (x * y * (1 + x), x * y * y))
     assert abs(v @ (system.J @ v)) < 1e-12
-    assert abs(v @ (system.A @ v) - v @ (system.A_vol @ v)) < 1e-12
+    A_vol = assemble_volume_stiffness(space, case.material)
+    assert abs(v @ (system.A @ v) - v @ (A_vol @ v)) < 1e-12
 
 
 def test_translation_penalty_energy(case):
@@ -126,8 +140,8 @@ def test_translation_penalty_energy(case):
 
 def test_penalty_scaling_linearity(case, small_setup):
     _, space, _ = small_setup
-    A1, J1, _ = assemble_sipg(space, case.material, 10.0, 1.0)
-    A2, J2, _ = assemble_sipg(space, case.material, 20.0, 1.0)
+    A1, J1 = assemble_sipg(space, case.material, 10.0, 1.0)
+    A2, J2 = assemble_sipg(space, case.material, 20.0, 1.0)
     assert abs((A2 - A1 - J1).toarray()).max() < 1e-12
     assert abs((J2 - 2.0 * J1).toarray()).max() < 1e-12
 
@@ -222,19 +236,25 @@ def test_sipg_identity_with_average_jump(case, small_setup, rng):
             / length
             * float(np.sum(w * np.sum(jump * jump, axis=-1)))
         )
-    quad = v @ (system.A_vol @ v) - 2.0 * edge_term + penalty
+    A_vol = assemble_volume_stiffness(space, case.material)
+    quad = v @ (A_vol @ v) - 2.0 * edge_term + penalty
     assert abs(v @ (system.A @ v) - quad) < 1e-11 * max(1.0, abs(quad))
 
 
 def test_assembled_system_contents(case, small_setup):
     _, space, system = small_setup
+    # the schemes need the mass, the SIPG form and its penalty part, nothing else
+    fields = [f.name for f in dataclasses.fields(AssembledSystem)]
+    assert fields == ["M", "A", "J", "alpha0", "beta0"]
     assert system.M.shape == (space.total_dofs, space.total_dofs)
-    # rho = 1 here, so both mass matrices agree
-    assert abs((system.M - system.M0).toarray()).max() < 1e-14
-    assert abs((system.A - system.A_vol - (system.A - system.A_vol)).toarray()).max() == 0.0
+    # rho = 1 here, so M is the plain mass, bit for bit
+    assert abs(system.M - assemble_mass(space, 1.0)).max() == 0.0
+    A, J = assemble_sipg(space, case.material, 10.0, 1.0)
+    assert abs(system.A - A).max() == 0.0
+    assert abs(system.J - J).max() == 0.0
     rho2 = PronyMaterial(rho=2.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     sys2 = assemble_system(space, rho2, 10.0, 1.0)
-    assert abs((sys2.M - 2.0 * sys2.M0).toarray()).max() < 1e-14
+    assert abs((sys2.M - 2.0 * assemble_mass(space, 1.0)).toarray()).max() < 1e-14
 
 
 def test_edge_split_covers_all(small_setup):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import space_with_quadrature
 
 from viscodg.errors import convergence_rate, error_norms
 from viscodg.material import PronyMaterial
@@ -114,13 +115,12 @@ def test_quadrature_refinement_is_converged(case):
     # error norms barely move when the quadrature order is doubled
     from viscodg.assembly import assemble_system
     from viscodg.mesh import build_structured_mesh
-    from viscodg.space import DGSpace
     from viscodg.stepper import initialize
 
     mesh = build_structured_mesh(2)
     reports = []
     for orders in ((None, None), (12, 13)):
-        space = DGSpace.build(mesh, 1, elem_order=orders[0], edge_order=orders[1])
+        space = space_with_quadrature(mesh, 1, *orders)
         system = assemble_system(space, case.material, 10.0, 1.0)
         st = initialize(
             system,

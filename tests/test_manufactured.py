@@ -2,19 +2,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import body_force_oracle, traction_oracle
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from viscodg.manufactured import (
-    ManufacturedCase,
+from conftest import (
     adaptive_convolution,
-    benchmark_material,
+    body_force_oracle,
     internal_displacement_oracle,
     internal_velocity_oracle,
     stress_oracle,
+    traction_oracle,
 )
-from viscodg.material import PronyMaterial, relaxation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viscodg.manufactured import ManufacturedCase, benchmark_material
+from viscodg.material import PronyMaterial
 from viscodg.stepper import Scheme, run
 
 SAMPLE_POINTS = [(0.3, 0.7), (1.0, 0.25), (0.8, 1.0)]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import apply_elastic, internal_kernel_constant_history
+from conftest import apply_elastic, internal_kernel_constant_history, relaxation
 
-from viscodg.material import PronyMaterial, relaxation
+from viscodg.material import PronyMaterial
 
 
 def benchmark():
@@ -22,6 +22,18 @@ def test_validation():
         PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(-1.0,))
     with pytest.raises(ValueError):
         PronyMaterial(rho=1.0, phi0=0.6, phis=(0.5,), taus=(1.0,))
+    # non-finite values, which the range checks alone let through (NaN fails every comparison)
+    nan, inf = float("nan"), float("inf")
+    for rho, phi0, phi, tau in (
+        (nan, 0.5, 0.5, 1.0),
+        (inf, 0.5, 0.5, 1.0),
+        (1.0, nan, 0.5, 1.0),
+        (1.0, 0.5, nan, 1.0),
+        (1.0, 0.5, 0.5, nan),
+        (1.0, 0.5, 0.5, inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            PronyMaterial(rho=rho, phi0=phi0, phis=(phi,), taus=(tau,))
 
 
 def test_relaxation_values():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import space_with_quadrature
 
 from viscodg.mesh import build_structured_mesh
 from viscodg.space import (
@@ -105,8 +106,12 @@ def test_dof_layout(k):
     assert space.dofs_per_component == nb
     assert space.dofs_per_element == 2 * nb
     assert space.total_dofs == 8 * 2 * nb
-    seen = np.concatenate([space.element_dofs(t) for t in range(mesh.n_triangles)])
-    assert np.array_equal(np.sort(seen), np.arange(space.total_dofs))
+    # element t owns DOFs [t * nd, (t + 1) * nd), its x-component coefficients first
+    coeffs = space.interpolate(lambda x, y: (np.ones_like(x), 2.0 * np.ones_like(x)))
+    blocks = coeffs.reshape(mesh.n_triangles, 2, nb)
+    assert np.array_equal(blocks[:, 0], np.ones((mesh.n_triangles, nb)))
+    assert np.array_equal(blocks[:, 1], np.full((mesh.n_triangles, nb), 2.0))
+    assert np.allclose(space.evaluate(coeffs), [1.0, 2.0], atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -149,7 +154,7 @@ def test_reference_coords_roundtrip(rng):
 
 def test_quadrature_order_override():
     mesh = build_structured_mesh(2)
-    space = DGSpace.build(mesh, 1, elem_order=12, edge_order=13)
+    space = space_with_quadrature(mesh, 1, elem_order=12, edge_order=13)
     assert len(space.elem_weights) > len(DGSpace.build(mesh, 1).elem_weights)
     assert abs(space.elem_weights.sum() - 0.5) < 1e-14
     assert abs(space.edge_weights.sum() - 1.0) < 1e-14

@@ -8,9 +8,17 @@ from conftest import block_step_oracle, internal_kernel_constant_history
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscodg.assembly import AssembledSystem
+from viscodg.assembly import (
+    AssembledSystem,
+    LoadAssembler,
+    assemble_mass,
+    assemble_system,
+    assemble_volume_stiffness,
+)
 from viscodg.linalg import Factorization, factor
 from viscodg.material import PronyMaterial
+from viscodg.mesh import build_structured_mesh
+from viscodg.space import DGSpace
 from viscodg.stepper import (
     Scheme,
     SchemeCoefficients,
@@ -38,15 +46,16 @@ def test_scheme_coefficients(case):
         co = SchemeCoefficients.build(case.material, dt)
         assert co.gamma_d > 0
         assert co.gamma_v > 0
-    with pytest.raises(ValueError):
-        SchemeCoefficients.build(case.material, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"dt={bad}"):
+            SchemeCoefficients.build(case.material, bad)
 
 
 def _scalar_system():
     """1-DOF oscillator u'' + u = f as a degenerate assembled system."""
     one = sp.csr_matrix(np.array([[1.0]]))
     zero = sp.csr_matrix(np.array([[0.0]]))
-    return AssembledSystem(M=one, M0=one, A=one, J=zero, A_vol=one, alpha0=10.0, beta0=1.0)
+    return AssembledSystem(M=one, A=one, J=zero, alpha0=10.0, beta0=1.0)
 
 
 def test_crank_nicolson_exact_for_quadratic():
@@ -139,6 +148,20 @@ def test_initialize_projections(case, small_setup):
         assert np.allclose(psi, 0.0)
 
 
+@settings(max_examples=10, deadline=None)
+@given(rho=st.floats(0.5, 2.0), k=st.sampled_from([1, 2]))
+def test_velocity_projection_is_the_plain_l2_projection(case, rho, k):
+    # W0 solves the rho-weighted mass against rho * rhs: the same L2
+    # projection as the plain mass against rhs
+    space = DGSpace.build(build_structured_mesh(2), k)
+    material = PronyMaterial(rho=rho, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
+    system = assemble_system(space, material)
+    w0 = case.velocity_at(0.0)
+    W = initialize(system, space, material, None, None, w0, Scheme.VELOCITY).W
+    ref = factor(assemble_mass(space, 1.0)).solve(LoadAssembler(space).assemble(f=w0))
+    assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_initialize_none_is_zero(case, small_setup):
     _, space, system = small_setup
     st = initialize(system, space, case.material, None, None, None, Scheme.VELOCITY)
@@ -156,6 +179,39 @@ def test_run_rejects_negative_final_time(case, small_setup):
     _, space, system = small_setup
     with pytest.raises(ValueError, match="negative"):
         run(Scheme.DISPLACEMENT, space, system, case.material, T=-1.0, dt=0.25)
+
+
+@pytest.mark.parametrize(
+    "T, dt, name",
+    [
+        (1.0, 0.0, "dt=0.0"),
+        (1.0, -0.25, "dt=-0.25"),
+        (1.0, float("nan"), "dt=nan"),
+        (1.0, float("inf"), "dt=inf"),
+        (float("nan"), 0.25, "T=nan"),
+        (float("inf"), 0.25, "T=inf"),
+    ],
+)
+def test_run_rejects_bad_time_inputs_up_front(case, small_setup, monkeypatch, T, dt, name):
+    # a bad dt or T fails with its value before any projection or factorization
+    _, space, system = small_setup
+
+    def no_factor(matrix):
+        raise AssertionError("factored before the time inputs were checked")
+
+    monkeypatch.setattr("viscodg.stepper.factor", no_factor)
+    with pytest.raises(ValueError, match=name):
+        run(
+            Scheme.DISPLACEMENT,
+            space,
+            system,
+            case.material,
+            T=T,
+            dt=dt,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+        )
 
 
 def test_run_zero_steps(case, small_setup):
@@ -229,7 +285,7 @@ def test_scheme_equivalence_coarse(case, small_setup):
 def test_homogeneous_energy_never_grows(case, small_setup):
     # with zero loads the discrete energy is nonincreasing step to step
     _, space, system = small_setup
-    energy_matrix = system.A_vol + system.J
+    energy_matrix = assemble_volume_stiffness(space, case.material) + system.J
     for scheme in Scheme:
         energies = []
         run(
