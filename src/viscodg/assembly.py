@@ -1,10 +1,10 @@
 """Assembly of the SIPG bilinear form, mass matrices and load vectors.
 
-The material enters through its elastic tensor in index form, D[z, a, c, b]:
-the stress of a displacement gradient g (index order [component,
-derivative]) is sigma_za = sum_cb D[z, a, c, b] g_cb.  Dirichlet conditions
-are imposed weakly through the boundary edge terms (Nitsche style); Neumann
-edges contribute only to the load vector.
+The material enters through its elastic tensor in index form, D[z, a, c, b]
+= ``material.elasticity``: the stress of a displacement gradient g (index
+order [component, derivative]) is sigma_za = sum_cb D[z, a, c, b] g_cb.
+Dirichlet conditions are imposed weakly through the boundary edge terms
+(Nitsche style); Neumann edges contribute only to the load vector.
 
 DOFs are element-contiguous, so every matrix is made of nd x nd element
 blocks: one per triangle, on the diagonal, and two per interior edge, coupling
@@ -35,18 +35,6 @@ import scipy.sparse as sp
 from .material import PronyMaterial
 from .mesh import EdgeTag
 from .space import DGSpace
-
-# Voigt strain (e11, e22, sqrt2*e12) of the gradient e_c (x) e_b, as [c, b, :]
-_VOIGT = np.zeros((2, 2, 3))
-_VOIGT[0, 0, 0] = _VOIGT[1, 1, 1] = 1.0
-_VOIGT[0, 1, 2] = _VOIGT[1, 0, 2] = 1.0 / np.sqrt(2.0)
-
-
-def elasticity_tensor(material: PronyMaterial) -> np.ndarray:
-    """The material's elastic tensor in index form D[z, a, c, b], (2, 2, 2, 2)."""
-    v = _VOIGT.reshape(4, 3)
-    return (v @ material.elastic_voigt @ v.T).reshape(2, 2, 2, 2)
-
 
 def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Stresses (..., 2, 2) of displacement gradients (..., 2, 2)."""
@@ -81,8 +69,8 @@ def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(space: DGSpace, weight: float = 1.0) -> sp.csr_matrix:
     """Block-diagonal (weight * v, w) mass matrix."""
-    if weight <= 0:
-        raise ValueError("mass weight must be positive")
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(f"mass weight {weight} must be positive and finite")
     mref = (space.ref_values.T * space.elem_weights) @ space.ref_values
     return _block_diagonal(_componentwise(weight * space.det_jac[:, None, None] * mref))
 
@@ -106,7 +94,7 @@ def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
 
 def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr_matrix:
     """Element-wise strain energy form sum_E int D eps(v) : eps(w)."""
-    return _block_diagonal(_volume_blocks(space, elasticity_tensor(material)))
+    return _block_diagonal(_volume_blocks(space, material.elasticity))
 
 
 def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0, beta0):
@@ -160,7 +148,7 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
         raise ValueError(f"penalty parameter alpha0={alpha0} must be positive and finite")
     if not (math.isfinite(beta0) and beta0 >= 1):
         raise ValueError(f"penalty exponent beta0={beta0} must be finite and >= 1 in 2D")
-    D = elasticity_tensor(material)
+    D = material.elasticity
     nt, nd = space.mesh.n_triangles, space.dofs_per_element
     edges = space.mesh.edges
     interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
@@ -268,7 +256,7 @@ def assemble_elliptic_rhs(
     only the average-stress edge term survives there; Dirichlet edges also
     carry the symmetrizing and penalty terms in u0's trace.
     """
-    D = elasticity_tensor(material)
+    D = material.elasticity
     nt, nb = space.mesh.n_triangles, space.dofs_per_component
     n = space.total_dofs
 

@@ -20,12 +20,14 @@ from .manufactured import ManufacturedCase
 from .material import PronyMaterial
 from .mesh import build_structured_mesh
 from .space import DGSpace
-from .stepper import Scheme, run
+from .stepper import Scheme, run, step_count
 
 CSV_HEADER = "scheme,k,n,h,dt,err_u_L2,err_u_H1,err_u_energy,err_w_L2,err_w_H1,err_w_energy"
 
 _STUDIES = ("single", "hconv", "tconv", "penalty", "stability")
 _SCHEMES = ("displacement", "velocity", "both")
+# the stability study compares the energy up to these two final times
+_STABILITY_HORIZONS = (5.0, 10.0)
 
 
 class ConfigError(ValueError):
@@ -63,17 +65,24 @@ class StudyConfig:
             raise ConfigError("T must be positive")
         if any(n < 1 for n in self.ns):
             raise ConfigError("mesh subdivisions must be >= 1")
-        for dt in self.dts:
-            if dt is not None:
-                if dt <= 0:
-                    raise ConfigError("dt must be positive")
-                n_steps = self.T / dt
-                if abs(round(n_steps) - n_steps) > 1e-9:
-                    raise ConfigError(f"T={self.T} is not an integral multiple of dt={dt}")
+        if any(dt is not None and dt <= 0 for dt in self.dts):
+            raise ConfigError("dt must be positive")
+        horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.T,)
         try:
             self.material()
+            for T in horizons:
+                for _, dt in self.runs():
+                    step_count(T, dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def runs(self) -> list[tuple[int, float]]:
+        """The (n, dt) of every run of the study, with dt = h resolved to 1/n."""
+        if self.study == "tconv":
+            pairs = [(self.ns[0], dt) for dt in self.dts]
+        else:  # a stability study runs the first pair only; 1/n divides both horizons
+            pairs = [(n, self.dts[0]) for n in self.ns]
+        return [(n, 1.0 / n if dt is None else dt) for n, dt in pairs]
 
     def material(self) -> PronyMaterial:
         return PronyMaterial(self.rho, self.phi0, self.phis, self.taus)
@@ -216,13 +225,8 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
         _run_stability(cfg, out, cache)
         return csv_rows
 
-    if cfg.study in ("single", "hconv", "penalty"):
-        runs = [(n, (1.0 / n) if dt is None else dt) for n in cfg.ns for dt in cfg.dts[:1]]
-        scales = [np.sqrt(2.0) / n for n in cfg.ns]
-    else:  # tconv
-        n = cfg.ns[0]
-        runs = [(n, (1.0 / n) if dt is None else dt) for dt in cfg.dts]
-        scales = [dt for _, dt in runs]
+    runs = cfg.runs()
+    scales = [dt if cfg.study == "tconv" else np.sqrt(2.0) / n for n, dt in runs]
 
     rows_by_scheme: dict = {}
     for scheme in cfg.schemes():
@@ -245,15 +249,15 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
 
 def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
     """Max-over-steps energy for T=5 and T=10 with homogeneous loads."""
-    n = cfg.ns[0]
-    dt = cfg.dts[0] if cfg.dts[0] is not None else 1.0 / n
+    n, dt = cfg.runs()[0]
     space, system = _discretization(cfg, n, cache)
     case = ManufacturedCase(cfg.material())
     energy_matrix = assemble_volume_stiffness(space, case.material) + system.J
 
+    short, long = _STABILITY_HORIZONS
     for scheme in cfg.schemes():
         maxima = {}
-        for horizon in (5.0, 10.0):
+        for horizon in _STABILITY_HORIZONS:
             peak = 0.0
 
             def track(state):
@@ -274,10 +278,10 @@ def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
                 diagnostics=track,
             )
             maxima[horizon] = peak
-        ratio = maxima[10.0] / maxima[5.0]
+        ratio = maxima[long] / maxima[short]
         print(
-            f"stability ({scheme.value} form): max energy T=5: {maxima[5.0]:.6e}  "
-            f"T=10: {maxima[10.0]:.6e}  ratio: {ratio:.6f}",
+            f"stability ({scheme.value} form): max energy T={short:g}: {maxima[short]:.6e}  "
+            f"T={long:g}: {maxima[long]:.6e}  ratio: {ratio:.6f}",
             file=out,
         )
 

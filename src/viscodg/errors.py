@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, elasticity_tensor, grad_array, stress
+from .assembly import AssembledSystem, grad_array, stress
 from .material import PronyMaterial
 from .mesh import EdgeTag
 from .space import DGSpace
@@ -64,7 +64,7 @@ def _field_error_norms(
     dg = grad_array(grad_exact, xq) - gh
     h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
 
-    energy_sq = float(np.sum(wdet[..., None, None] * stress(elasticity_tensor(material), dg) * dg))
+    energy_sq = float(np.sum(wdet[..., None, None] * stress(material.elasticity, dg) * dg))
 
     # jump penalty of the error over interior and Dirichlet edges
     edges = space.mesh.edges

@@ -2,8 +2,9 @@
 
 The relaxation function is phi(t) = phi0 + sum_q phi_q exp(-t/tau_q),
 normalised so that phi(0) = 1, with phi0 > 0 (a solid with long-term
-stiffness).  The elastic tensor is either the identity (used by the
-verification benchmark) or isotropic with Lame parameters.
+stiffness).  The elastic tensor is either the identity on symmetric
+tensors (used by the verification benchmark) or isotropic with Lame
+parameters.
 """
 
 import math
@@ -51,15 +52,12 @@ class PronyMaterial:
         return len(self.phis)
 
     @property
-    def elastic_voigt(self) -> np.ndarray:
-        """Elastic tensor in the orthonormal Voigt basis (e11, e22, sqrt2*e12)."""
-        if self.elastic is None:
-            return np.eye(3)
-        lam, mu = self.elastic
-        return np.array(
-            [
-                [lam + 2 * mu, lam, 0.0],
-                [lam, lam + 2 * mu, 0.0],
-                [0.0, 0.0, 2 * mu],
-            ]
+    def elasticity(self) -> np.ndarray:
+        """Elastic tensor in index form, D[z, a, c, b] = lam d_za d_cb + mu (d_zc d_ab
+        + d_zb d_ac), the identity being lam = 0, mu = 1/2: the stress of a
+        displacement gradient g ([component, derivative]) is sum_cb D[z, a, c, b] g_cb."""
+        lam, mu = (0.0, 0.5) if self.elastic is None else self.elastic
+        d = np.eye(2)
+        return lam * np.einsum("za,cb->zacb", d, d) + mu * (
+            np.einsum("zc,ab->zacb", d, d) + np.einsum("zb,ac->zacb", d, d)
         )

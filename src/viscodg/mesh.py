@@ -58,7 +58,6 @@ class TriMesh:
 
     vertices: np.ndarray  # (nv, 2)
     triangles: np.ndarray  # (nt, 3) vertex indices, counterclockwise
-    n_subdivisions: int
     edges: Edges = field(init=False)
     h: float = field(init=False)
 
@@ -78,10 +77,6 @@ class TriMesh:
         object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "h", float(edges.length.max()))
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     @property
     def n_triangles(self) -> int:
@@ -162,7 +157,7 @@ def build_structured_mesh(n: int) -> TriMesh:
     lower_right = np.stack([a, b, c], axis=-1)
     upper_left = np.stack([a, c, d], axis=-1)
     triangles = np.stack([lower_right, upper_left], axis=1).reshape(-1, 3).astype(np.int64)
-    return TriMesh(vertices, triangles, n)
+    return TriMesh(vertices, triangles)
 
 
 def read_mesh(text: str) -> TriMesh:
@@ -189,4 +184,4 @@ def read_mesh(text: str) -> TriMesh:
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     clockwise = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
     tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
-    return TriMesh(vertices, tris, 0)
+    return TriMesh(vertices, tris)

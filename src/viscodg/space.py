@@ -7,11 +7,12 @@ component-major (all x-component coefficients, then all y-component ones).
 
 Quadrature on the reference triangle is a collapsed (Duffy) tensor-product
 Gauss rule, which has positive weights at any order.  Edge quadrature is
-Gauss-Legendre on [0, 1].
+Gauss-Legendre on [0, 1].  Edge traces are rows of one table of the basis on
+the reference sides (the face masks of Hesthaven & Warburton, 2008).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,28 +40,20 @@ def _basis_coefficients(k: int) -> np.ndarray:
 def reference_basis(k: int, p) -> tuple[np.ndarray, np.ndarray]:
     """Values and gradients of the scalar P_k Lagrange basis at points ``p``.
 
-    ``p`` is a single reference point (2,) or an array (m, 2).  Returns
-    arrays of shape (..., nb) and (..., nb, 2) with nb = (k+1)(k+2)/2.
+    ``p`` is an array (m, 2) of reference points.  Returns arrays of shape
+    (m, nb) and (m, nb, 2) with nb = (k+1)(k+2)/2.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    pts = np.asarray(p, dtype=float)
     exps = _monomial_exponents(k)
     coeffs = _basis_coefficients(k)  # (n_mono, nb) after inversion
     x, y = pts[:, 0], pts[:, 1]
     mono = np.stack([x**a * y**b for (a, b) in exps], axis=-1)
-    dmono_x = np.stack(
-        [a * x ** max(a - 1, 0) * y**b if a > 0 else np.zeros_like(x) for (a, b) in exps],
-        axis=-1,
-    )
-    dmono_y = np.stack(
-        [b * x**a * y ** max(b - 1, 0) if b > 0 else np.zeros_like(x) for (a, b) in exps],
-        axis=-1,
-    )
+    dmono_x = np.stack([a * x ** max(a - 1, 0) * y**b for (a, b) in exps], axis=-1)
+    dmono_y = np.stack([b * x**a * y ** max(b - 1, 0) for (a, b) in exps], axis=-1)
     values = mono @ coeffs
     grads = np.stack([dmono_x @ coeffs, dmono_y @ coeffs], axis=-1)
-    if np.asarray(p).ndim == 1:
-        return values[0], grads[0]
     return values, grads
 
 
@@ -157,13 +150,29 @@ class DGSpace:
         """Element quadrature points in physical coordinates, (nt, nq, 2)."""
         return self.v0[:, None, :] + self.elem_points @ np.swapaxes(self.jac, 1, 2)
 
-    def reference_coords(self, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pull physical points (..., 2) back to reference coordinates.
+    # cached on first use, not in build: a copy with another edge rule
+    # (dataclasses.replace) starts with an empty cache
+    @cached_property
+    def _side_traces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values (6, nqe, nb) and reference gradients (6, nqe, nb, 2) at
+        the edge points on the reference sides; row 2i + j - (j > i) runs from
+        vertex i to vertex j."""
+        # _lattice_nodes(1) are the reference vertices
+        ends = _lattice_nodes(1)[[(i, j) for i in range(3) for j in range(3) if i != j]]
+        xi = ends[:, None, 0] + self.edge_points[:, None] * (ends[:, None, 1] - ends[:, None, 0])
+        vals, grads = reference_basis(self.degree, xi.reshape(-1, 2))
+        shape = (6, len(self.edge_points), self.dofs_per_component)
+        return vals.reshape(shape), grads.reshape(shape + (2,))
 
-        ``elems`` broadcasts against the leading axes of ``x``.
-        """
-        d = x - self.v0[elems]
-        return (self.jac_inv[elems] @ d[..., None])[..., 0]
+    @cached_property
+    def _edge_rows(self) -> np.ndarray:
+        """Side-trace row of every edge on each side (n_edges, 2); junk where elems is -1."""
+        edges = self.mesh.edges
+        corners = self.mesh.triangles[edges.elems]  # (ne, 2, 3)
+        # local vertex of each edge endpoint, [edge, side, endpoint]
+        local = np.argmax(corners[:, :, None, :] == edges.vertices[:, None, :, None], axis=-1)
+        i, j = local[..., 0], local[..., 1]
+        return 2 * i + j - (j > i)
 
     def edge_traces(self, edge_ids: np.ndarray, side: int):
         """Traces on one incident element (``side`` 0 or 1) of the given edges.
@@ -175,13 +184,9 @@ class DGSpace:
         p = self.mesh.vertices[edges.vertices[edge_ids]]  # (ne, 2, 2)
         p0, p1 = p[:, 0], p[:, 1]
         x = p0[:, None, :] + self.edge_points[None, :, None] * (p1 - p0)[:, None, :]
-        elems = edges.elems[edge_ids, side]
-        xi = self.reference_coords(elems[:, None], x)
-        vals, grads = reference_basis(self.degree, xi.reshape(-1, 2))
-        shape = x.shape[:2] + (self.dofs_per_component,)
-        vals = vals.reshape(shape)
-        grads = grads.reshape(shape + (2,))
-        return x, vals, grads @ self.jac_inv[elems][:, None]
+        rows = self._edge_rows[edge_ids, side]
+        vals, grads = self._side_traces
+        return x, vals[rows], grads[rows] @ self.jac_inv[edges.elems[edge_ids, side]][:, None]
 
     def interpolate(self, field) -> np.ndarray:
         """Nodal interpolant of a callable ``field(x, y) -> (2,)-like``.

@@ -102,6 +102,9 @@ def initialize(
     scheme: Scheme,
 ) -> State:
     """Discrete initial data: elliptic projection of u0, L2 projection of w0."""
+    if (u0 is None) != (grad_u0 is None):
+        missing = "grad_u0" if grad_u0 is None else "u0"
+        raise ValueError(f"{missing} is missing: the elliptic projection needs u0 and grad_u0")
     n_internal = material.n_internal
     if u0 is None:
         U = np.zeros(space.total_dofs)
@@ -186,6 +189,18 @@ def step_velocity(
     return _step(state, system, coeffs, f_avg, K)
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of steps T/dt, for a finite T >= 0 that is an integral multiple of dt > 0."""
+    if not math.isfinite(T):
+        raise ValueError(f"final time T={T} must be finite")
+    if T < 0:
+        raise ValueError(f"final time T={T} is negative")
+    n_steps = round(T / dt)
+    if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
+        raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
+    return n_steps
+
+
 def run(
     scheme: Scheme,
     space: DGSpace,
@@ -212,13 +227,7 @@ def run(
     ``diagnostics`` call, and reused for every step.
     """
     coeffs = SchemeCoefficients.build(material, dt)
-    if not math.isfinite(T):
-        raise ValueError(f"final time T={T} must be finite")
-    if T < 0:
-        raise ValueError(f"final time T={T} is negative")
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
+    n_steps = step_count(T, dt)
 
     state = initialize(system, space, material, u0, grad_u0, w0, scheme)
 

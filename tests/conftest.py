@@ -296,6 +296,14 @@ def scrambled_mesh_input(n: int, rng, amplitude: float = 0.2):
 _SQRT2 = np.sqrt(2.0)
 
 
+def _voigt_elasticity(m: PronyMaterial) -> np.ndarray:
+    """Elastic tensor in the orthonormal Voigt basis (e11, e22, sqrt2*e12)."""
+    if m.elastic is None:
+        return np.eye(3)
+    lam, mu = m.elastic
+    return np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, 2 * mu]])
+
+
 def _strain_voigt_basis(grads):
     """Voigt strains (..., 2*nb, 3) of all vector DOFs from scalar gradients (..., nb, 2)."""
     nb = grads.shape[-2]
@@ -369,7 +377,7 @@ def reference_assembly(space, material, alpha0, beta0, f, g_N, u0, grad_u0):
     "A_vol", the rho-weighted mass "M", the load vector "load" of (f, g_N)
     and the elliptic right-hand side "rhs" of (u0, grad_u0), all assembled
     from per-element and per-edge einsums and summed triplets."""
-    C = material.elastic_voigt
+    C = _voigt_elasticity(material)
     nd = space.dofs_per_element
     nt, n = space.mesh.n_triangles, space.total_dofs
     wq = space.edge_weights

@@ -23,6 +23,10 @@ def test_mass_rejects_nonpositive_weight(small_setup):
     _, space, _ = small_setup
     with pytest.raises(ValueError):
         assemble_mass(space, 0.0)
+    # NaN fails every comparison, so a bare `weight <= 0` would let it through
+    for weight in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"weight {weight}"):
+            assemble_mass(space, weight)
 
 
 def test_p1_mass_block(small_setup):

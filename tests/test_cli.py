@@ -17,6 +17,7 @@ from viscodg.cli import (
     parse_config,
     run_study,
 )
+from viscodg.linalg import SolverError
 from viscodg.stepper import Scheme
 
 
@@ -98,12 +99,20 @@ def _floats(lo, hi):
 
 @st.composite
 def _valid_configs(draw):
-    T = draw(_floats(0.01, 10.0))
+    """Configs whose every run passes the step-count rule of ``run``."""
+    study = draw(st.sampled_from(_STUDIES))
+    # dt = h (None) divides T for every n only when T is a whole number
+    whole = draw(st.booleans())
+    T = float(draw(st.integers(1, 10))) if whole else draw(_floats(0.01, 10.0))
+    # a stability study runs to T = 5 and T = 10 whatever T is
+    span = 5.0 if study == "stability" else T
+    dt = st.integers(1, 4096).map(lambda m: span / m)
+    if whole or study == "stability":
+        dt = st.none() | dt
     phis = draw(st.lists(_floats(0.01, 0.3), min_size=1, max_size=3))
     out = st.text("abcXYZ019._-/", min_size=1, max_size=12)
-    dt = st.none() | st.integers(1, 4096).map(lambda m: T / m)  # None is dt = h
     return StudyConfig(
-        study=draw(st.sampled_from(_STUDIES)),
+        study=study,
         scheme=draw(st.sampled_from(_SCHEMES)),
         k=draw(st.integers(1, 5)),
         ns=draw(st.lists(st.integers(1, 256), min_size=1, max_size=4)),
@@ -247,6 +256,39 @@ def test_main_non_finite_value_exit_code(capfd, flag, value):
     assert "config error: bad value" in capfd.readouterr().err
     with pytest.raises(ValueError, match="finite"):
         _parse_number(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
+        "--study single --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1",
+        # dt = h = 1/3 does not divide T
+        "--study single --scheme displacement --k 1 --n 3 --dt h --T 0.5",
+        # dt divides T, but not the stability horizons T=5 and T=10
+        "--study stability --scheme displacement --k 1 --n 2 --dt 0.3 --T 0.9",
+        # only the second mesh's dt = h fails
+        "--study hconv --scheme displacement --k 1 --n 2,3 --dt h --T 0.5",
+    ],
+)
+def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args):
+    def no_study(cfg, out=None):
+        raise AssertionError("study started for a config whose runs would fail")
+
+    monkeypatch.setattr("viscodg.cli.run_study", no_study)
+    assert main(args.split()) == 2
+    assert "config error: T=" in capfd.readouterr().err
+
+
+def test_main_solver_failure_exit_code(capfd, monkeypatch):
+    def failing_study(cfg, out=None):
+        raise SolverError("solve residual 1 exceeds tolerance")
+
+    monkeypatch.setattr("viscodg.cli.run_study", failing_study)
+    assert main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4"]) == 3
+    err = capfd.readouterr().err
+    assert "solver failure (alpha0=10.0, k=1, ns=[2])" in err
+    assert "solve residual 1 exceeds tolerance" in err
 
 
 def test_main_missing_config_file(capfd):

@@ -65,7 +65,7 @@ def test_zero_state_norms_of_uniaxial_field(small_setup):
     case = _UniaxialCase()
     Z = np.zeros(space.total_dofs)
     rep = error_norms(_state(space, Z, Z), case, space, system)
-    n = space.mesh.n_subdivisions
+    n = round(np.sqrt(2.0) / space.mesh.h)  # the structured mesh's subdivisions
     assert abs(rep.err_u_L2**2 - 1.0 / 3.0) < 1e-12
     assert abs(rep.err_u_H1**2 - (1.0 / 3.0 + 1.0)) < 1e-12
     expected_energy_sq = 1.0 + system.alpha0 * n / 3.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import apply_elastic, internal_kernel_constant_history, relaxation
 
+from viscodg.assembly import stress
 from viscodg.material import PronyMaterial
 
 
@@ -59,32 +60,38 @@ def test_identity_elastic():
     m = benchmark()
     eps = np.array([[1.0, 0.3], [0.3, -2.0]])
     assert np.allclose(apply_elastic(m, eps), eps)
-    assert np.allclose(m.elastic_voigt, np.eye(3))
+    assert np.array_equal(stress(m.elasticity, eps), eps)
+    # the identity on strains: a skew gradient carries no stress
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(stress(m.elasticity, skew), np.zeros((2, 2)))
 
 
-def test_isotropic_elastic():
+def test_isotropic_elastic(rng):
     lam, mu = 2.0, 0.7
     m = PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(1.0,), elastic=(lam, mu))
     eps = np.array([[1.0, 0.3], [0.3, -2.0]])
     sig = apply_elastic(m, eps)
     assert np.allclose(sig, 2 * mu * eps + lam * np.trace(eps) * np.eye(2))
-    # Voigt representation applied to the same strain agrees
-    v = np.array([eps[0, 0], eps[1, 1], np.sqrt(2.0) * eps[0, 1]])
-    sv = m.elastic_voigt @ v
-    assert abs(sv[0] - sig[0, 0]) < 1e-14
-    assert abs(sv[1] - sig[1, 1]) < 1e-14
-    assert abs(sv[2] / np.sqrt(2.0) - sig[0, 1]) < 1e-14
+    # the index-form tensor applied to any gradient stresses its symmetric part
+    for _ in range(5):
+        g = rng.standard_normal((2, 2))
+        assert np.abs(stress(m.elasticity, g) - apply_elastic(m, 0.5 * (g + g.T))).max() < 1e-14
 
 
 def test_voigt_energy_consistency(rng):
-    # eps : C eps in tensor form equals the Voigt dot product
-    m = PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(1.0,), elastic=(1.3, 0.4))
-    for _ in range(5):
-        g = rng.standard_normal((2, 2))
-        eps = 0.5 * (g + g.T)
-        tensor = float(np.sum(apply_elastic(m, eps) * eps))
-        v = np.array([eps[0, 0], eps[1, 1], np.sqrt(2.0) * eps[0, 1]])
-        assert abs(tensor - v @ m.elastic_voigt @ v) < 1e-12
+    # D[z, a, c, b] = D[a, z, c, b] = D[c, b, z, a], and eps : D eps is the
+    # strain energy that the Voigt form gave as v . C v
+    for elastic in (None, (1.3, 0.4), (0.0, 2.0)):
+        m = PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(1.0,), elastic=elastic)
+        D = m.elasticity
+        assert D.shape == (2, 2, 2, 2)
+        assert np.array_equal(D, D.transpose(1, 0, 2, 3))
+        assert np.array_equal(D, D.transpose(2, 3, 0, 1))
+        for _ in range(5):
+            g = rng.standard_normal((2, 2))
+            eps = 0.5 * (g + g.T)
+            energy = float(np.sum(apply_elastic(m, eps) * eps))
+            assert abs(np.sum(stress(D, eps) * eps) - energy) < 1e-12
 
 
 def test_internal_kernel_constant_history():

@@ -57,7 +57,7 @@ def test_rejects_zero_subdivisions():
 def test_unit_mesh_counts():
     m = build_structured_mesh(1)
     assert m.n_triangles == 2
-    assert m.n_vertices == 4
+    assert len(m.vertices) == 4
     assert len(m.edges) == 5
     assert np.sum(m.edges.elems[:, 1] < 0) == 4
 
@@ -65,7 +65,7 @@ def test_unit_mesh_counts():
 def test_n2_counts_and_area():
     m = build_structured_mesh(2)
     assert m.n_triangles == 8
-    assert m.n_vertices == 9
+    assert len(m.vertices) == 9
     assert len(m.edges) == 16
     assert abs(_areas(m).sum() - 1.0) < 1e-13
 
@@ -165,7 +165,7 @@ def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
     assert np.all(_areas(m) > 0)
     boundary = e.elems[:, 1] < 0
     assert len(e) == (3 * m.n_triangles + boundary.sum()) / 2
-    assert m.n_vertices - len(e) + m.n_triangles == 1
+    assert len(m.vertices) - len(e) + m.n_triangles == 1
 
     # each triangle side is exactly one edge, and that edge lists the triangle
     index = {tuple(pair): i for i, pair in enumerate(e.vertices.tolist())}
@@ -244,6 +244,6 @@ def test_element_numbering_does_not_change_the_solution(case, seed):
 def test_renumbering_leaves_the_callers_triangles_alone():
     base = build_structured_mesh(3)
     given = base.triangles[::-1].copy()
-    m = TriMesh(base.vertices, given, 3)
+    m = TriMesh(base.vertices, given)
     assert np.array_equal(given, base.triangles[::-1])
     assert m.triangles is not given

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import space_with_quadrature
+from conftest import mesh_text, scrambled_mesh_input, space_with_quadrature
 
-from viscodg.mesh import build_structured_mesh
+from viscodg.mesh import build_structured_mesh, read_mesh
 from viscodg.space import (
     DGSpace,
     edge_quadrature,
@@ -14,7 +16,7 @@ from viscodg.space import (
 
 def test_rejects_degree_zero():
     with pytest.raises(ValueError):
-        reference_basis(0, (0.3, 0.3))
+        reference_basis(0, [[0.3, 0.3]])
     with pytest.raises(ValueError):
         quadrature_rules(0)
 
@@ -30,8 +32,8 @@ def test_p1_nodal_values():
 
 
 def test_p1_interior_point():
-    vals, _ = reference_basis(1, (0.25, 0.5))
-    assert np.allclose(vals, [0.25, 0.25, 0.5], atol=1e-14)
+    vals, _ = reference_basis(1, [[0.25, 0.5]])
+    assert np.allclose(vals, [[0.25, 0.25, 0.5]], atol=1e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -46,7 +48,7 @@ def test_partition_of_unity(k, rng):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_basis_gradients_finite_difference(k, rng):
-    p = np.array([0.31, 0.27])
+    p = np.array([[0.31, 0.27]])
     eps = 1e-6
     _, grads = reference_basis(k, p)
     for d in range(2):
@@ -55,7 +57,7 @@ def test_basis_gradients_finite_difference(k, rng):
         vp, _ = reference_basis(k, p + dp)
         vm, _ = reference_basis(k, p - dp)
         fd = (vp - vm) / (2 * eps)
-        assert np.allclose(grads[:, d], fd, atol=1e-8)
+        assert np.allclose(grads[..., d], fd, atol=1e-8)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 8, 11])
@@ -143,13 +145,40 @@ def test_gradient_evaluation():
     assert np.max(np.abs(g[..., 1, 1] + 2 * y)) < 1e-12
 
 
-def test_reference_coords_roundtrip(rng):
-    mesh = build_structured_mesh(3)
-    space = DGSpace.build(mesh, 1)
-    xq = space.physical_quad_points()
-    elems = np.arange(mesh.n_triangles)
-    xi = space.reference_coords(elems[:, None], xq)
-    assert np.max(np.abs(xi - space.elem_points[None])) < 1e-13
+def _assert_traces_match_pullback(space):
+    """Every edge trace against the basis evaluated at the edge points pulled
+    back through the inverse element map."""
+    edges = space.mesh.edges
+    for side in (0, 1):
+        ids = np.flatnonzero(edges.elems[:, side] >= 0)
+        x, vals, grads = space.edge_traces(ids, side)
+        elems = edges.elems[ids, side]
+        jinv = space.jac_inv[elems][:, None]
+        xi = (jinv @ (x - space.v0[elems][:, None])[..., None])[..., 0]
+        ref_vals, ref_grads = reference_basis(space.degree, xi.reshape(-1, 2))
+        assert x.shape == (len(ids), len(space.edge_points), 2)
+        assert np.abs(vals - ref_vals.reshape(vals.shape)).max() < 1e-13
+        # physical gradients grow like k / h: compare them relative to their size
+        ref_grads = ref_grads.reshape(grads.shape) @ jinv
+        assert np.abs(grads - ref_grads).max() < 1e-13 * np.abs(ref_grads).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_edge_traces_match_the_pullback(k, scrambled, rng):
+    if scrambled:
+        mesh = read_mesh(mesh_text(*scrambled_mesh_input(4, rng)))
+    else:
+        mesh = build_structured_mesh(3)
+    space = DGSpace.build(mesh, k)
+    _assert_traces_match_pullback(space)
+    finer = space_with_quadrature(mesh, k, edge_order=13)
+    assert len(finer.edge_points) > len(space.edge_points)
+    _assert_traces_match_pullback(finer)
+    # a copy of a space whose traces are cached tabulates its own edge rule
+    _assert_traces_match_pullback(
+        dataclasses.replace(space, edge_points=finer.edge_points, edge_weights=finer.edge_weights)
+    )
 
 
 def test_quadrature_order_override():

@@ -214,6 +214,23 @@ def test_run_rejects_bad_time_inputs_up_front(case, small_setup, monkeypatch, T,
         )
 
 
+@pytest.mark.parametrize("missing", ["u0", "grad_u0"])
+def test_initial_displacement_needs_u0_and_grad_u0(case, small_setup, monkeypatch, missing):
+    # either one alone fails, naming the missing one, before any factorization
+    _, space, system = small_setup
+
+    def no_factor(matrix):
+        raise AssertionError("factored before the initial data were checked")
+
+    monkeypatch.setattr("viscodg.stepper.factor", no_factor)
+    data = {"u0": case.displacement_at(0.0), "grad_u0": case.grad_displacement_at(0.0)}
+    data[missing] = None
+    with pytest.raises(ValueError, match=f"^{missing} is missing"):
+        run(Scheme.DISPLACEMENT, space, system, case.material, T=1.0, dt=0.25, **data)
+    with pytest.raises(ValueError, match=f"^{missing} is missing"):
+        initialize(system, space, case.material, data["u0"], data["grad_u0"], None, Scheme.VELOCITY)
+
+
 def test_run_zero_steps(case, small_setup):
     _, space, system = small_setup
     st = run(
