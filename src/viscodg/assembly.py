@@ -27,6 +27,7 @@ residue (about 1e-16 max|A|) instead of an exact zero.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,43 +207,86 @@ def _coordinates(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(points[..., 0]), np.ascontiguousarray(points[..., 1])
 
 
+@dataclass(frozen=True)
+class SeparableField:
+    """Field sum_j coefficients[:, j] F_j at one time level, coefficients (2, m).
+
+    ``fields(*points)`` returns the m scalar fields F_j and depends on the
+    points alone.  The field unpacks as (fx, fy), like a plain pair.
+    """
+
+    coefficients: np.ndarray
+    fields: Callable
+    points: tuple
+
+    def __array__(self, dtype=None, copy=None):
+        values = np.broadcast_arrays(*self.fields(*self.points))
+        return np.asarray(np.tensordot(self.coefficients, values, axes=1), dtype)
+
+    def __iter__(self):
+        return iter(self.__array__())
+
+
 class LoadAssembler:
-    """Caches quadrature geometry so per-step load assembly is cheap."""
+    """Load vectors at fixed quadrature points, one assembler per run.
+
+    A pair (fx, fy) is contracted with the basis on every call.  The fields of
+    a ``SeparableField`` are contracted once, and kept while its ``fields``
+    callable stays the same; a call then only combines them.
+    """
 
     def __init__(self, space: DGSpace):
         self.space = space
-        # the same contiguous coordinate arrays go to the forcing on every
-        # call, so a forcing that memoizes on its points compares them cheaply
         self.xq = _coordinates(space.physical_quad_points())  # 2 x (nt, nq)
         self.wdet = space.elem_weights[None, :] * space.det_jac[:, None]
         edges = space.mesh.edges
         self.neumann = np.flatnonzero(edges.tag == EdgeTag.NEUMANN)
         n_x, vals, _ = space.edge_traces(self.neumann, 0)
-        self.n_x = _coordinates(n_x)  # 2 x (ne, nqe)
+        # x, y (ne, nqe) and the outward normals (ne, 1, 2)
+        self.n_points = (*_coordinates(n_x), edges.normal[self.neumann][:, None, :])
         n_w = space.edge_weights[None, :] * edges.length[self.neumann][:, None]
         self.n_wvals = np.swapaxes(vals * n_w[:, :, None], 1, 2)  # (ne, nb, nqe)
-        self.n_normal = edges.normal[self.neumann]
         self.n_dofs = _element_dofs(space, edges.elems[self.neumann, 0])
+        self._contracted = {}  # contraction name -> (fields callable, its vectors)
+
+    def _domain_vectors(self, fields) -> np.ndarray:
+        """(F_j, v) over the domain, (m, nt, nb)."""
+        # one (nt, nq) @ (nq, nb) product per field: stacking the fields for
+        # a single product copies more than it saves
+        shape, ref = self.wdet.shape, self.space.ref_values
+        return np.stack([(np.broadcast_to(f, shape) * self.wdet) @ ref for f in fields])
+
+    def _neumann_vectors(self, fields) -> np.ndarray:
+        """(F_j, v) on the Neumann edges, (m, ne, nb)."""
+        shape = self.n_points[0].shape
+        values = np.stack([np.broadcast_to(f, shape) for f in fields], axis=-1)  # (ne, nqe, m)
+        return np.moveaxis(self.n_wvals @ values, -1, 0)
+
+    def _blocks(self, value, contract) -> np.ndarray:
+        """Element load blocks (n, 2, nb) of one forcing value."""
+        if not isinstance(value, SeparableField):
+            return np.swapaxes(contract(value), 0, 1)
+        fields, vectors = self._contracted.get(contract.__name__, (None, None))
+        if fields != value.fields:
+            fields, vectors = value.fields, contract(value.fields(*value.points))
+            self._contracted[contract.__name__] = fields, vectors
+        return np.swapaxes(np.tensordot(value.coefficients, vectors, axes=1), 0, 1)
 
     def assemble(self, f=None, g_N=None) -> np.ndarray:
         """Load vector of (f, v) + (g_N, v)_{Gamma_N} for fields bound to one time.
 
         ``f(x, y) -> (fx, fy)`` over the domain, ``g_N(x, y, n) -> (gx, gy)``
-        on the Neumann boundary; either may be None.
+        on the Neumann boundary; either may be None, and either may return a
+        ``SeparableField``.
         """
         space = self.space
         nt, nb = space.mesh.n_triangles, space.dofs_per_component
-        loc = np.zeros((nt, 2, nb))
+        out = np.zeros(space.total_dofs)
         if f is not None:
-            # one (nt, nq) @ (nq, nb) product per component: stacking the two
-            # components for a single product copies more than it saves
-            for c, fc in enumerate(f(*self.xq)):
-                loc[:, c] = (fc * self.wdet) @ space.ref_values
-        out = loc.ravel()
+            out.reshape(nt, 2, nb)[...] = self._blocks(f(*self.xq), self._domain_vectors)
         if g_N is not None and len(self.neumann):
-            gx, gy = g_N(*self.n_x, self.n_normal[:, None, :])
-            gvals = np.stack(np.broadcast_arrays(gx, gy), axis=-1)  # (ne, nqe, 2)
-            out += _scatter(len(out), self.n_dofs, np.swapaxes(self.n_wvals @ gvals, 1, 2))
+            blocks = self._blocks(g_N(*self.n_points), self._neumann_vectors)
+            out += _scatter(len(out), self.n_dofs, blocks)
         return out
 
 

@@ -67,6 +67,11 @@ class StudyConfig:
             raise ConfigError("mesh subdivisions must be >= 1")
         if any(dt is not None and dt <= 0 for dt in self.dts):
             raise ConfigError("dt must be positive")
+        # runs() would drop all but the first n in tconv and all but the first dt elsewhere
+        if self.study != "tconv" and len(self.dts) > 1:
+            raise ConfigError(f"a {self.study} study takes one dt, got {len(self.dts)}")
+        if self.study in ("tconv", "stability") and len(self.ns) > 1:
+            raise ConfigError(f"a {self.study} study takes one n, got {len(self.ns)}")
         horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.T,)
         try:
             self.material()
@@ -80,7 +85,7 @@ class StudyConfig:
         """The (n, dt) of every run of the study, with dt = h resolved to 1/n."""
         if self.study == "tconv":
             pairs = [(self.ns[0], dt) for dt in self.dts]
-        else:  # a stability study runs the first pair only; 1/n divides both horizons
+        else:  # dt = 1/n divides both stability horizons
             pairs = [(n, self.dts[0]) for n in self.ns]
         return [(n, 1.0 / n if dt is None else dt) for n, dt in pairs]
 

@@ -11,42 +11,19 @@ form.  All closed forms here are cross-checked in the test suite against an
 adaptive-quadrature convolution oracle.
 
 The forcing data are sums of fixed spatial fields times scalar functions of
-t, and a time stepper evaluates them at the same quadrature points on every
-time level.  ``ManufacturedCase`` therefore computes the spatial fields once
-per point set (``_FieldMemo``) and only scales them on later calls.
+t.  ``body_force_at(t)`` and ``traction_at(t)`` hand them over in that form,
+as a ``SeparableField``, so a load assembler contracts each spatial field
+once per run and scales the results at every time level.
 """
 
 import numpy as np
 
+from .assembly import SeparableField
 from .material import PronyMaterial
 
 
 def benchmark_material() -> PronyMaterial:
     return PronyMaterial(rho=1.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
-
-
-class _FieldMemo:
-    """One-entry memo of the fields ``build(x, y)`` computes from a point set.
-
-    The key is a copy of the points, compared by shape and value on every
-    call, so a caller that changes its arrays in place gets a miss, never a
-    stale entry.  ``build`` receives that copy and may return it as a field.
-    If ``build`` raises, the previous entry stays.
-    """
-
-    def __init__(self, build):
-        self._build = build
-        self._key = None
-        self._fields = None
-
-    def __call__(self, x, y):
-        points = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        hit = self._key is not None and all(map(np.array_equal, self._key, points))
-        if not hit:
-            key = tuple(p.copy() for p in points)
-            self._fields = self._build(*key)
-            self._key = key
-        return self._fields
 
 
 class ManufacturedCase:
@@ -58,8 +35,6 @@ class ManufacturedCase:
         self.material = material or benchmark_material()
         if self.material.elastic is not None:
             raise ValueError("the manufactured case assumes the identity elastic tensor")
-        self._body_memo = _FieldMemo(self._body_fields)
-        self._traction_memo = _FieldMemo(self._traction_fields)
 
     # scalar time convolutions -------------------------------------------------
 
@@ -133,20 +108,15 @@ class ManufacturedCase:
     def _body_fields(x, y):
         """Spatial fields of the body force.
 
-        xy, sin xy, cos xy - xy sin xy and (x^2 + y^2/2) sin xy.
+        xy, sin xy, cos xy - xy sin xy, (x^2 + y^2/2) sin xy and 1.
         """
         xy = x * y
         s = np.sin(xy)
-        return xy, s, np.cos(xy) - xy * s, (x * x + 0.5 * y * y) * s
+        return xy, s, np.cos(xy) - xy * s, (x * x + 0.5 * y * y) * s, 1.0
 
     def body_force(self, x, y, t):
-        """f = rho*u_tt - div eps(u - sum_q psi_q) for the identity tensor."""
-        rho = self.material.rho
-        g1, g2 = self._time_factors(t)
-        xy, s, c1, c2 = self._body_memo(x, y)
-        f1 = (rho * np.exp(1.0 - t)) * xy - (0.5 * g2) * c1
-        f2 = (-rho * np.cos(t)) * s - 0.5 * g1 + g2 * c2
-        return f1, f2
+        """(f1, f2) of ``body_force_at(t)`` at the points."""
+        return tuple(self.body_force_at(t)(x, y))
 
     @staticmethod
     def _stress_fields(x, y):
@@ -183,29 +153,46 @@ class ManufacturedCase:
         )
         return self._stress_of(self._stress_fields(x, y), g1, g2)
 
-    @classmethod
-    def _traction_fields(cls, x, y):
-        """The stress's spatial fields at points on the Neumann boundary."""
+    @staticmethod
+    def _traction_fields(x, y, n):
+        """Fields of sigma . n on the Neumann boundary, per unit stress time factor.
+
+        The traction of the time factors (g1, g2) is g1 (F_0, F_1) + g2 (F_2, F_3).
+        """
         on_neumann = np.isclose(x, 1.0) | np.isclose(y, 1.0)
         if not np.all(on_neumann):
             raise ValueError("traction requested off the Neumann boundary")
-        return cls._stress_fields(x, y)
+        fields = ManufacturedCase._stress_fields(x, y)
+        n = np.asarray(n, dtype=float)
+        out = []
+        for unit in ((1.0, 0.0), (0.0, 1.0)):
+            s11, s22, s12 = ManufacturedCase._stress_of(fields, *unit)
+            out += [s11 * n[..., 0] + s12 * n[..., 1], s12 * n[..., 0] + s22 * n[..., 1]]
+        return tuple(out)
 
     def traction(self, x, y, t, n):
-        """g_N = sigma(u(t)) . n for points on the Neumann boundary."""
-        s11, s22, s12 = self._stress_of(self._traction_memo(x, y), *self._time_factors(t))
-        n = np.asarray(n, dtype=float)
-        g1 = s11 * n[..., 0] + s12 * n[..., 1]
-        g2 = s12 * n[..., 0] + s22 * n[..., 1]
-        return g1, g2
+        """(g1, g2) of ``traction_at(t)`` at boundary points with normals n."""
+        return tuple(self.traction_at(t)(x, y, n))
 
     # time-bound closures for the assembly layer ------------------------------
 
     def body_force_at(self, t):
-        return lambda x, y: self.body_force(x, y, t)
+        """f = rho*u_tt - div eps(u - sum_q psi_q) at time t for the identity tensor.
+
+        The closure returns a ``SeparableField`` over ``_body_fields``.
+        """
+        rho = self.material.rho
+        g1, g2 = self._time_factors(t)
+        e, c = rho * np.exp(1.0 - t), rho * np.cos(t)
+        coefficients = np.array([[e, 0.0, -0.5 * g2, 0.0, 0.0], [0.0, -c, 0.0, g2, -0.5 * g1]])
+        return lambda x, y: SeparableField(coefficients, self._body_fields, (x, y))
 
     def traction_at(self, t):
-        return lambda x, y, n: self.traction(x, y, t, n)
+        """g_N = sigma(u(t)) . n on the Neumann boundary, a ``SeparableField`` over
+        ``_traction_fields``; evaluating it off that boundary raises ValueError."""
+        g1, g2 = self._time_factors(t)
+        coefficients = np.array([[g1, 0.0, g2, 0.0], [0.0, g1, 0.0, g2]])
+        return lambda x, y, n: SeparableField(coefficients, self._traction_fields, (x, y, n))
 
     def displacement_at(self, t):
         return lambda x, y: self.displacement(x, y, t)

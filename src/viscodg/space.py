@@ -179,14 +179,19 @@ class DGSpace:
 
         Returns the physical quadrature points (ne, nqe, 2), the scalar basis
         values (ne, nqe, nb) and their physical gradients (ne, nqe, nb, 2).
+        Raises ValueError if an edge has no element on that side.
         """
         edges = self.mesh.edges
+        elems = edges.elems[edge_ids, side]
+        if np.any(elems < 0):
+            first = np.asarray(edge_ids)[elems < 0][0]
+            raise ValueError(f"edge {first} has no element on side {side}")
         p = self.mesh.vertices[edges.vertices[edge_ids]]  # (ne, 2, 2)
         p0, p1 = p[:, 0], p[:, 1]
         x = p0[:, None, :] + self.edge_points[None, :, None] * (p1 - p0)[:, None, :]
         rows = self._edge_rows[edge_ids, side]
         vals, grads = self._side_traces
-        return x, vals[rows], grads[rows] @ self.jac_inv[edges.elems[edge_ids, side]][:, None]
+        return x, vals[rows], grads[rows] @ self.jac_inv[elems][:, None]
 
     def interpolate(self, field) -> np.ndarray:
         """Nodal interpolant of a callable ``field(x, y) -> (2,)-like``.

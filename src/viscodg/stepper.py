@@ -220,11 +220,12 @@ def run(
     ``body_force(t)`` and ``traction(t)`` return fields bound to one time
     level (or None for homogeneous loads).  Each field is called once per
     time level, always at the same points (the element quadrature points,
-    and those of the Neumann edges), so a forcing may compute what depends on
-    the points alone once: ``ManufacturedCase`` evaluates its spatial factors
-    once per point set.  ``diagnostics(state)`` is called at every time level
-    when given.  The step matrix is factored once, after the first
-    ``diagnostics`` call, and reused for every step.
+    and those of the Neumann edges).  A field may return a
+    ``SeparableField`` instead of a pair: its spatial factors are contracted
+    with the basis once per run, and each time level only combines them with
+    its coefficients, as for ``ManufacturedCase``.  ``diagnostics(state)``
+    is called at every time level when given.  The step matrix is factored
+    once, after the first ``diagnostics`` call, and reused for every step.
     """
     coeffs = SchemeCoefficients.build(material, dt)
     n_steps = step_count(T, dt)

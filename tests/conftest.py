@@ -178,7 +178,7 @@ def average_jump(space: DGSpace, coeffs: np.ndarray, edge: int):
 
 def body_force_oracle(case, x, y, t):
     """The manufactured body force evaluated directly from its closed form,
-    with no memo: f = rho*u_tt - div eps(u - sum_q psi_q)."""
+    not through its separable form: f = rho*u_tt - div eps(u - sum_q psi_q)."""
     rho = case.material.rho
     g1, g2 = case._time_factors(t)
     s = np.sin(x * y)
@@ -189,7 +189,7 @@ def body_force_oracle(case, x, y, t):
 
 
 def traction_oracle(case, x, y, t, n):
-    """sigma(u(t)) . n from the closed-form stress, with no memo and no boundary check."""
+    """sigma(u(t)) . n from the closed-form stress, with no boundary check."""
     s11, s22, s12 = case.stress(x, y, t)
     n = np.asarray(n, dtype=float)
     return s11 * n[..., 0] + s12 * n[..., 1], s12 * n[..., 0] + s22 * n[..., 1]

@@ -130,6 +130,7 @@ def _finest_rate(errs, ns):
     return convergence_rate(errs[-2:], [1.0 / n for n in ns[-2:]])[0]
 
 
+@pytest.mark.slow
 def test_criterion_1_spatial_h1(spatial_runs):
     details = []
     ok = True
@@ -147,6 +148,7 @@ def test_criterion_1_spatial_h1(spatial_runs):
     _emit(1, "spatial H1 convergence, dt=1/2048", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_2_spatial_l2(spatial_runs):
     details = []
     ok = True
@@ -164,6 +166,7 @@ def test_criterion_2_spatial_l2(spatial_runs):
     _emit(2, "spatial L2 convergence, dt=1/2048", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_3_temporal(temporal_runs):
     dts = (0.25, 0.125, 0.0625)
     details = []
@@ -177,6 +180,7 @@ def test_criterion_3_temporal(temporal_runs):
     _emit(3, "temporal convergence, n=128 k=2", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_4_scheme_equivalence(spatial_runs):
     worst = 0.0
     for k in (1, 2):

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import average_jump
+from conftest import average_jump, mesh_text, scrambled_mesh_input
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscodg.assembly import (
     AssembledSystem,
     LoadAssembler,
+    SeparableField,
     assemble_elliptic_rhs,
     assemble_mass,
     assemble_sipg,
@@ -14,8 +17,9 @@ from viscodg.assembly import (
     assemble_volume_stiffness,
 )
 from viscodg.linalg import factor
+from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
-from viscodg.mesh import EdgeTag, build_structured_mesh
+from viscodg.mesh import EdgeTag, build_structured_mesh, read_mesh
 from viscodg.space import DGSpace
 
 
@@ -200,6 +204,61 @@ def test_neumann_flux_balance(case, small_setup):
     ones_x = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     # int over {x=1} of n_x = 1; over {y=1} n_x = 0
     assert abs(G @ ones_x - 1.0) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    rho=st.floats(0.5, 2.0),
+    scrambled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=5),
+)
+def test_separable_loads_match_plain_closures(k, rho, scrambled, seed, times):
+    # one assembler over several time levels, as in a run: the separable
+    # forcing (contracted once, then scaled) against pointwise pairs
+    case = ManufacturedCase(PronyMaterial(rho, 0.5, (0.1, 0.4), (0.5, 1.5)))
+    rng = np.random.default_rng(seed)
+    if scrambled:
+        mesh = read_mesh(mesh_text(*scrambled_mesh_input(3, rng)))
+    else:
+        mesh = build_structured_mesh(3)
+    loads = LoadAssembler(DGSpace.build(mesh, k))
+    for t in times:
+        got = loads.assemble(case.body_force_at(t), case.traction_at(t))
+        ref = loads.assemble(
+            lambda x, y: tuple(case.body_force(x, y, t)),
+            lambda x, y, n: tuple(case.traction(x, y, t, n)),
+        )
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_separable_fields_callables_are_never_confused(small_setup):
+    _, space, _ = small_setup
+
+    def polynomial(x, y, *normal):
+        return x * y, 1.0, y * y
+
+    def trigonometric(x, y, *normal):
+        return np.sin(x), np.cos(y), x
+
+    coefficients = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0]])
+    loads = LoadAssembler(space)
+    results = {}
+    # the same callable also serves as domain and boundary fields at once
+    for fields in (polynomial, trigonometric, trigonometric, polynomial):
+
+        def separable(*points, fields=fields):
+            return SeparableField(coefficients, fields, points)
+
+        def plain(*points, fields=fields):
+            return tuple(separable(*points))
+
+        got = loads.assemble(separable, separable)
+        assert np.abs(got - loads.assemble(plain, plain)).max() <= 1e-14 * np.abs(got).max()
+        results.setdefault(fields.__name__, got)
+        assert np.array_equal(got, results[fields.__name__])
+    assert not np.allclose(results["polynomial"], results["trigonometric"])
 
 
 def test_elliptic_rhs_reproduces_polynomials(case):

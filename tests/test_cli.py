@@ -109,14 +109,17 @@ def _valid_configs(draw):
     dt = st.integers(1, 4096).map(lambda m: span / m)
     if whole or study == "stability":
         dt = st.none() | dt
+    # one dt outside tconv, one n in tconv, one of each in stability
+    max_ns = 1 if study in ("tconv", "stability") else 4
+    max_dts = 4 if study == "tconv" else 1
     phis = draw(st.lists(_floats(0.01, 0.3), min_size=1, max_size=3))
     out = st.text("abcXYZ019._-/", min_size=1, max_size=12)
     return StudyConfig(
         study=study,
         scheme=draw(st.sampled_from(_SCHEMES)),
         k=draw(st.integers(1, 5)),
-        ns=draw(st.lists(st.integers(1, 256), min_size=1, max_size=4)),
-        dts=draw(st.lists(dt, min_size=1, max_size=4)),
+        ns=draw(st.lists(st.integers(1, 256), min_size=1, max_size=max_ns)),
+        dts=draw(st.lists(dt, min_size=1, max_size=max_dts)),
         T=T,
         alpha0=draw(_floats(1e-3, 1e3)),
         beta0=draw(_floats(1.0, 4.0)),
@@ -258,26 +261,32 @@ def test_main_non_finite_value_exit_code(capfd, flag, value):
         _parse_number(value)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
-        "--study single --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1",
-        # dt = h = 1/3 does not divide T
-        "--study single --scheme displacement --k 1 --n 3 --dt h --T 0.5",
-        # dt divides T, but not the stability horizons T=5 and T=10
-        "--study stability --scheme displacement --k 1 --n 2 --dt 0.3 --T 0.9",
-        # only the second mesh's dt = h fails
-        "--study hconv --scheme displacement --k 1 --n 2,3 --dt h --T 0.5",
-    ],
-)
-def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args):
+_REJECTED = [
+    # (arguments, start of the error message)
+    # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
+    ("--study single --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1", "T="),
+    # dt = h = 1/3 does not divide T
+    ("--study single --scheme displacement --k 1 --n 3 --dt h --T 0.5", "T="),
+    # dt divides T, but not the stability horizons T=5 and T=10
+    ("--study stability --scheme displacement --k 1 --n 2 --dt 0.3 --T 0.9", "T="),
+    # only the second mesh's dt = h fails
+    ("--study hconv --scheme displacement --k 1 --n 2,3 --dt h --T 0.5", "T="),
+    # an hconv study would run the first dt only
+    ("--study hconv --k 1 --n 2,4 --dt 1/4,1/8 --T 1/2", "a hconv study takes one dt"),
+    ("--study tconv --k 1 --n 2,4 --dt 1/4,1/8 --T 1/2", "a tconv study takes one n"),
+    ("--study stability --k 1 --n 2 --dt 1/4,1/8", "a stability study takes one dt"),
+    ("--study stability --k 1 --n 2,4 --dt h", "a stability study takes one n"),
+]
+
+
+@pytest.mark.parametrize("args, message", _REJECTED, ids=[args for args, _ in _REJECTED])
+def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
     def no_study(cfg, out=None):
         raise AssertionError("study started for a config whose runs would fail")
 
     monkeypatch.setattr("viscodg.cli.run_study", no_study)
     assert main(args.split()) == 2
-    assert "config error: T=" in capfd.readouterr().err
+    assert f"config error: {message}" in capfd.readouterr().err
 
 
 def test_main_solver_failure_exit_code(capfd, monkeypatch):

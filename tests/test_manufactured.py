@@ -216,10 +216,10 @@ def _close(got, ref):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), rho=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_memoized_forcing_matches_closed_forms(data, rho, seed):
+def test_forcing_matches_closed_forms(data, rho, seed):
     # interleaved point sets, scalars, in-place changes to the arrays between
-    # calls (the memo must miss) and a traction request off the boundary
-    # after a valid set was cached (it must still raise)
+    # calls and a traction request off the boundary after valid ones (it must
+    # still raise): the separable forms hold no state across calls
     case = ManufacturedCase(PronyMaterial(rho, 0.5, (0.1, 0.4), (0.5, 1.5)))
     rng = np.random.default_rng(seed)
     shapes = st.sampled_from([(), (7,), (3, 5)])
@@ -264,16 +264,16 @@ def test_memoized_forcing_matches_closed_forms(data, rho, seed):
             assert _close(case.traction(*xy, t, n), traction_oracle(case, *xy, t, n))
 
 
-def test_spatial_fields_are_built_once_per_point_set(monkeypatch, small_setup):
-    # over whole runs, each forcing kind builds its spatial fields once: the
-    # load assembler passes the same points on every time level
+def test_spatial_fields_are_built_once_per_run(monkeypatch, small_setup):
+    # each run's load assembler contracts each kind of spatial field once,
+    # while the forcing closures are still called on every time level
     calls = Counter()
     for name in ("_body_fields", "_traction_fields"):
         build = getattr(ManufacturedCase, name)
 
-        def counted(x, y, build=build, name=name):
+        def counted(*points, build=build, name=name):
             calls[name] += 1
-            return build(x, y)
+            return build(*points)
 
         monkeypatch.setattr(ManufacturedCase, name, staticmethod(counted))
     case = ManufacturedCase()
@@ -310,6 +310,6 @@ def test_spatial_fields_are_built_once_per_point_set(monkeypatch, small_setup):
     assert calls == {
         "body_force": evaluations,
         "traction": evaluations,
-        "_body_fields": 1,
-        "_traction_fields": 1,
+        "_body_fields": 2,
+        "_traction_fields": 2,
     }

@@ -181,6 +181,18 @@ def test_edge_traces_match_the_pullback(k, scrambled, rng):
     )
 
 
+def test_edge_traces_reject_a_missing_side():
+    space = DGSpace.build(build_structured_mesh(2), 1)
+    elems = space.mesh.edges.elems
+    interior = np.flatnonzero(elems[:, 1] >= 0)
+    boundary = np.flatnonzero(elems[:, 1] < 0)
+    space.edge_traces(interior, 1)
+    space.edge_traces(boundary, 0)
+    ids = np.concatenate([interior[:2], boundary[1:3]])
+    with pytest.raises(ValueError, match=f"edge {boundary[1]} has no element on side 1"):
+        space.edge_traces(ids, 1)
+
+
 def test_quadrature_order_override():
     mesh = build_structured_mesh(2)
     space = space_with_quadrature(mesh, 1, elem_order=12, edge_order=13)
