@@ -295,10 +295,10 @@ def assemble_elliptic_rhs(
 ) -> np.ndarray:
     """Right-hand side of a(U0, v) = a(u0, v) for a continuous field u0.
 
-    ``u0(x, y) -> (ux, uy)`` and ``grad_u0(x, y) -> (2, 2) arrays`` with
-    index order [component, derivative].  Interior jumps of u0 vanish, so
-    only the average-stress edge term survives there; Dirichlet edges also
-    carry the symmetrizing and penalty terms in u0's trace.
+    ``u0(x, y) -> (ux, uy)`` and ``grad_u0(x, y)`` nested as
+    [component][derivative], as ``grad_array`` reads it.  Interior jumps of
+    u0 vanish, so only the average-stress edge term survives there; Dirichlet
+    edges also carry the symmetrizing and penalty terms in u0's trace.
     """
     D = material.elasticity
     nt, nb = space.mesh.n_triangles, space.dofs_per_component
@@ -339,12 +339,15 @@ def assemble_elliptic_rhs(
 
 
 def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
-    """Evaluate a gradient callable on point arrays, returning (..., 2, 2)."""
-    g = grad_u0(x[..., 0], x[..., 1])
-    g = np.asarray(g, dtype=float)
-    if g.shape[:2] == (2, 2):
-        g = np.moveaxis(g, (0, 1), (-2, -1))
-    return np.broadcast_to(g, x.shape[:-1] + (2, 2))
+    """Evaluate a gradient callable on point arrays, returning (..., 2, 2).
+
+    ``grad_u0(x, y)`` returns the gradient nested as [component][derivative],
+    four entries of one shape that broadcasts to the points' shape.
+    """
+    g = np.asarray(grad_u0(x[..., 0], x[..., 1]), dtype=float)
+    if g.shape[:2] != (2, 2):
+        raise ValueError(f"a gradient nests as [component][derivative] (2, 2, ...), got {g.shape}")
+    return np.broadcast_to(np.moveaxis(g, (0, 1), (-2, -1)), x.shape[:-1] + (2, 2))
 
 
 @dataclass

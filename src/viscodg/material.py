@@ -20,7 +20,8 @@ class PronyMaterial:
     """Density, Prony coefficients and the elastic tensor specification.
 
     ``elastic`` is ``None`` for the identity tensor or a ``(lam, mu)`` pair
-    for the isotropic tensor 2*mu*eps + lam*tr(eps)*I.
+    for the isotropic tensor 2*mu*eps + lam*tr(eps)*I, with mu > 0 and
+    lam + mu > 0 so that it is positive definite on symmetric strains.
     """
 
     rho: float
@@ -46,6 +47,13 @@ class PronyMaterial:
         total = self.phi0 + sum(self.phis)
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"coefficients must sum to 1, got {total}")
+        if self.elastic is not None:
+            lam, mu = self.elastic
+            if not (math.isfinite(lam) and math.isfinite(mu) and mu > 0 and lam + mu > 0):
+                raise ValueError(
+                    f"elastic (lam, mu) = {self.elastic} must be finite with mu > 0"
+                    " and lam + mu > 0 (a positive definite tensor)"
+                )
 
     @property
     def n_internal(self) -> int:

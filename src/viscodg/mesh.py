@@ -165,17 +165,30 @@ def read_mesh(text: str) -> TriMesh:
 
     The mesh must cover the unit square: boundary edges are classified
     geometrically (Dirichlet on x=0 or y=0, Neumann on x=1 or y=1), and a
-    boundary edge on none of these sides raises ValueError.
+    boundary edge on none of these sides raises ValueError.  So does a
+    header with fewer than 3 vertices or no triangle, a non-finite vertex
+    coordinate, or a token count other than the header's.
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("mesh file too short")
     nv, nt = int(tokens[0]), int(tokens[1])
+    if nv < 3 or nt < 1:
+        raise ValueError(
+            f"mesh header declares {nv} vertices and {nt} triangles; need >= 3 and >= 1"
+        )
     need = 2 + 2 * nv + 3 * nt
     if len(tokens) < need:
         raise ValueError(f"mesh file truncated: expected {need} tokens, got {len(tokens)}")
-    vals = np.array(tokens[2 : 2 + 2 * nv], dtype=float)
-    vertices = vals.reshape(nv, 2)
+    if len(tokens) > need:
+        raise ValueError(
+            f"mesh file has {len(tokens)} tokens, more than the {need} its header declares"
+        )
+    vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=-1))
+    if bad.size:
+        v = bad[0]
+        raise ValueError(f"vertex {v} has a non-finite coordinate {tuple(vertices[v].tolist())}")
     tris = np.array(tokens[2 + 2 * nv : need], dtype=np.int64).reshape(nt, 3)
     if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex index out of range")

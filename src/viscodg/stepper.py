@@ -6,7 +6,7 @@ then costs a single SPD solve with the time-independent matrix
 
     K = (2/dt^2) M + (gamma/2) A + (1/dt) J,
 
-which is factored once per run, and the right-hand side
+and the right-hand side
 
     f_avg + M ((2/dt^2) U0 + (2/dt) W0) + A (sum_q s (1 + a_q)/2 z_q - u_w U0) + (1/dt) J U0,
 
@@ -16,7 +16,9 @@ followed by the recurrence z_q <- a_q z_q + r_q (U1 + s U0), with
     b_q = phi_q dt / (2 tau_q + dt),
     c_q = 2 tau_q phi_q / (2 tau_q + dt).
 
-The two forms differ only in their coefficients:
+The two forms differ only in their coefficients.  A ``StepOperator`` holds
+one form's row at one dt together with its factored K, and is built once per
+run:
 
     form          z_q    gamma             u_w                   s    r_q
     displacement  psi_q  1 - sum_q b_q     gamma/2               +1   b_q
@@ -29,7 +31,6 @@ which is exact because U0 is the elliptic projection of u0.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,39 +58,41 @@ class State:
 
 
 @dataclass(frozen=True)
-class SchemeCoefficients:
+class StepOperator:
+    """One form's Crank-Nicolson step at one dt on one system.
+
+    Holds the form's row of the coefficient table in the module docstring
+    and the factorization of its step matrix K, so the two cannot disagree.
+    """
+
+    system: AssembledSystem
+    scheme: Scheme
     dt: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    gamma_d: float
-    gamma_v: float
-
-    @classmethod
-    def build(cls, material: PronyMaterial, dt: float) -> "SchemeCoefficients":
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"time step dt={dt} must be positive and finite")
-        taus = np.array(material.taus)
-        phis = np.array(material.phis)
-        a = (2 * taus - dt) / (2 * taus + dt)
-        b = phis * dt / (2 * taus + dt)
-        c = 2 * taus * phis / (2 * taus + dt)
-        return cls(dt, a, b, c, 1.0 - b.sum(), material.phi0 + c.sum())
-
-
-class _Form(NamedTuple):
-    """One form's row of the coefficient table in the module docstring."""
-
+    a: np.ndarray  # a_q
+    rate: np.ndarray  # r_q
     gamma: float
     u_weight: float
     sign: float
-    rate: np.ndarray
+    K: Factorization
 
     @classmethod
-    def of(cls, coeffs: SchemeCoefficients, scheme: Scheme) -> "_Form":
+    def build(
+        cls, system: AssembledSystem, material: PronyMaterial, scheme: Scheme, dt: float
+    ) -> "StepOperator":
+        _check_time_step(dt)
+        taus = np.array(material.taus)
+        phis = np.array(material.phis)
+        a = (2 * taus - dt) / (2 * taus + dt)
         if scheme == Scheme.DISPLACEMENT:
-            return cls(coeffs.gamma_d, coeffs.gamma_d / 2.0, 1.0, coeffs.b)
-        return cls(coeffs.gamma_v, coeffs.gamma_v / 2.0 - coeffs.c.sum(), -1.0, coeffs.c)
+            rate = phis * dt / (2 * taus + dt)
+            gamma = 1.0 - rate.sum()
+            u_weight, sign = gamma / 2.0, 1.0
+        else:
+            rate = 2 * taus * phis / (2 * taus + dt)
+            gamma = material.phi0 + rate.sum()
+            u_weight, sign = gamma / 2.0 - rate.sum(), -1.0
+        K = factor((2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J)
+        return cls(system, scheme, dt, a, rate, gamma, u_weight, sign, K)
 
 
 def initialize(
@@ -121,76 +124,60 @@ def initialize(
     return State(0, 0.0, U, W, internal, scheme)
 
 
-def step_matrix(system: AssembledSystem, coeffs: SchemeCoefficients, scheme: Scheme):
-    gamma = _Form.of(coeffs, scheme).gamma
-    dt = coeffs.dt
-    return (2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J
-
-
-def _step(
-    state: State,
-    system: AssembledSystem,
-    coeffs: SchemeCoefficients,
-    f_avg: np.ndarray,
-    K: Factorization,
-) -> State:
+def _step(state: State, op: StepOperator, f_avg: np.ndarray, scheme: Scheme) -> State:
     """One Crank-Nicolson step of either form: one product each with M, A and J."""
-    form = _Form.of(coeffs, state.scheme)
-    dt = coeffs.dt
-    stiff = -form.u_weight * state.U
-    for a_q, z in zip(coeffs.a, state.internal):
-        stiff += (form.sign * 0.5 * (1.0 + a_q)) * z
+    if state.scheme != scheme or op.scheme != scheme:
+        raise ValueError(
+            f"a {scheme.value} step got a {state.scheme.value} state"
+            f" and a {op.scheme.value} operator"
+        )
+    if len(state.internal) != len(op.a):
+        raise ValueError(
+            f"the state has {len(state.internal)} internal variables, the operator {len(op.a)}"
+        )
+    system, dt = op.system, op.dt
+    stiff = -op.u_weight * state.U
+    for a_q, z in zip(op.a, state.internal):
+        stiff += (op.sign * 0.5 * (1.0 + a_q)) * z
     rhs = (
         f_avg
         + system.M @ ((2.0 / dt**2) * state.U + (2.0 / dt) * state.W)
         + system.A @ stiff
         + (1.0 / dt) * (system.J @ state.U)
     )
-    U1 = K.solve(rhs)
+    U1 = op.K.solve(rhs)
     W1 = (2.0 / dt) * (U1 - state.U) - state.W
-    increment = U1 + form.sign * state.U
-    internal = [
-        a_q * z + r_q * increment for a_q, r_q, z in zip(coeffs.a, form.rate, state.internal)
-    ]
+    increment = U1 + op.sign * state.U
+    internal = [a_q * z + r_q * increment for a_q, r_q, z in zip(op.a, op.rate, state.internal)]
     return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)
 
 
-def step_displacement(
-    state: State,
-    system: AssembledSystem,
-    coeffs: SchemeCoefficients,
-    f_avg: np.ndarray,
-    K: Factorization,
-) -> State:
+def step_displacement(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
     """One Crank-Nicolson step of the displacement-form scheme.
 
-    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2 and ``K`` the
-    factorization of ``step_matrix(system, coeffs, Scheme.DISPLACEMENT)``.
+    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2; the state and ``op``
+    must both belong to the displacement form.
     """
-    if state.scheme != Scheme.DISPLACEMENT:
-        raise ValueError("state does not belong to the displacement scheme")
-    return _step(state, system, coeffs, f_avg, K)
+    return _step(state, op, f_avg, Scheme.DISPLACEMENT)
 
 
-def step_velocity(
-    state: State,
-    system: AssembledSystem,
-    coeffs: SchemeCoefficients,
-    f_avg: np.ndarray,
-    K: Factorization,
-) -> State:
+def step_velocity(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
     """One Crank-Nicolson step of the velocity-form scheme.
 
-    ``f_avg`` must already include the exp-decaying a(u0, v) load term, and
-    ``K`` is the factorization of ``step_matrix(system, coeffs, Scheme.VELOCITY)``.
+    ``f_avg`` must already include the exp-decaying a(u0, v) load term; the
+    state and ``op`` must both belong to the velocity form.
     """
-    if state.scheme != Scheme.VELOCITY:
-        raise ValueError("state does not belong to the velocity scheme")
-    return _step(state, system, coeffs, f_avg, K)
+    return _step(state, op, f_avg, Scheme.VELOCITY)
+
+
+def _check_time_step(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step dt={dt} must be positive and finite")
 
 
 def step_count(T: float, dt: float) -> int:
     """The number of steps T/dt, for a finite T >= 0 that is an integral multiple of dt > 0."""
+    _check_time_step(dt)
     if not math.isfinite(T):
         raise ValueError(f"final time T={T} must be finite")
     if T < 0:
@@ -224,10 +211,10 @@ def run(
     ``SeparableField`` instead of a pair: its spatial factors are contracted
     with the basis once per run, and each time level only combines them with
     its coefficients, as for ``ManufacturedCase``.  ``diagnostics(state)``
-    is called at every time level when given.  The step matrix is factored
-    once, after the first ``diagnostics`` call, and reused for every step.
+    is called at every time level when given.  The form's ``StepOperator``
+    (its coefficient row and factored step matrix) is built once, after the
+    first ``diagnostics`` call, and reused for every step.
     """
-    coeffs = SchemeCoefficients.build(material, dt)
     n_steps = step_count(T, dt)
 
     state = initialize(system, space, material, u0, grad_u0, w0, scheme)
@@ -255,10 +242,10 @@ def run(
 
     if diagnostics is not None:
         diagnostics(state)
-    K = factor(step_matrix(system, coeffs, scheme))
+    op = StepOperator.build(system, material, scheme, dt)
     for n in range(n_steps):
         f_next = load_at((n + 1) * dt)
-        state = step(state, system, coeffs, 0.5 * (f_prev + f_next), K)
+        state = step(state, op, 0.5 * (f_prev + f_next))
         f_prev = f_next
         if diagnostics is not None:
             diagnostics(state)

@@ -195,7 +195,7 @@ def traction_oracle(case, x, y, t, n):
     return s11 * n[..., 0] + s12 * n[..., 1], s12 * n[..., 0] + s22 * n[..., 1]
 
 
-def block_step_oracle(system, material, co, state, f_avg):
+def block_step_oracle(system, material, dt, state, f_avg):
     """Dense solve of the unreduced one-step system (momentum + midpoint +
     internal-variable recurrences) as an oracle for the eliminated scheme."""
     M = system.M.toarray()
@@ -203,9 +203,11 @@ def block_step_oracle(system, material, co, state, f_avg):
     J = system.J.toarray()
     N = M.shape[0]
     Q = material.n_internal
-    dt = co.dt
     taus = np.array(material.taus)
     phis = np.array(material.phis)
+    # a_q and c_q of the velocity form's trapezoidal internal recurrence (below)
+    a = (2 * taus - dt) / (2 * taus + dt)
+    c = 2 * taus * phis / (2 * taus + dt)
     nun = (2 + Q) * N  # unknowns: U1, W1, internal variables
     K = np.zeros((nun, nun))
     b = np.zeros(nun)
@@ -249,8 +251,8 @@ def block_step_oracle(system, material, co, state, f_avg):
         # internal recurrence: S1 = a_q S0 + c_q (U1 - U0)
         for q in range(Q):
             K[blk(2 + q), blk(2 + q)] = np.eye(N)
-            K[blk(2 + q), blk(0)] = -co.c[q] * np.eye(N)
-            b[blk(2 + q)] = co.a[q] * state.internal[q] - co.c[q] * state.U
+            K[blk(2 + q), blk(0)] = -c[q] * np.eye(N)
+            b[blk(2 + q)] = a[q] * state.internal[q] - c[q] * state.U
     # midpoint relation: (1/dt) U1 - (1/2) W1 = (1/dt) U0 + (1/2) W0
     K[blk(1), blk(0)] = (1.0 / dt) * np.eye(N)
     K[blk(1), blk(1)] = -0.5 * np.eye(N)

@@ -26,12 +26,11 @@ from viscodg.mesh import EdgeTag, build_structured_mesh
 from viscodg.space import DGSpace
 from viscodg.stepper import (
     Scheme,
-    SchemeCoefficients,
     State,
+    StepOperator,
     initialize,
     run,
     step_displacement,
-    step_matrix,
     step_velocity,
 )
 
@@ -270,7 +269,7 @@ def test_criterion_7_long_time_stability(case):
 
 def test_criterion_8a_block_system_oracle(case, small_setup, rng):
     _, space, system = small_setup
-    co = SchemeCoefficients.build(case.material, 0.125)
+    dt = 0.125
     worst = 0.0
     for scheme, step in (
         (Scheme.DISPLACEMENT, step_displacement),
@@ -286,9 +285,8 @@ def test_criterion_8a_block_system_oracle(case, small_setup, rng):
             scheme,
         )
         f_avg = rng.standard_normal(N)
-        K = factor(step_matrix(system, co, scheme))
-        new = step(state, system, co, f_avg, K)
-        U1, W1, internal = conftest.block_step_oracle(system, case.material, co, state, f_avg)
+        new = step(state, StepOperator.build(system, case.material, scheme, dt), f_avg)
+        U1, W1, internal = conftest.block_step_oracle(system, case.material, dt, state, f_avg)
         scale = max(1.0, np.abs(U1).max())
         worst = max(worst, np.abs(new.U - U1).max() / scale)
         worst = max(worst, np.abs(new.W - W1).max() / scale)

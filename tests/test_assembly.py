@@ -15,6 +15,7 @@ from viscodg.assembly import (
     assemble_sipg,
     assemble_system,
     assemble_volume_stiffness,
+    grad_array,
 )
 from viscodg.linalg import factor
 from viscodg.manufactured import ManufacturedCase
@@ -281,6 +282,20 @@ def test_elliptic_rhs_reproduces_polynomials(case):
         rhs = assemble_elliptic_rhs(space, case.material, u0, grad_u0, 10.0, 1.0)
         U = factor(system.A).solve(rhs)
         assert np.abs(U - space.interpolate(u0)).max() < 1e-9
+
+
+def test_grad_array_reads_the_nested_layout_only():
+    # points whose leading axes are (2, 2) do not change how the gradient is read
+    x = np.arange(8.0).reshape(2, 2, 2)
+    g = grad_array(lambda x, y: ((x, y), (2 * x, np.full_like(x, 3.0))), x)
+    assert g.shape == (2, 2, 2, 2)
+    assert np.array_equal(g[..., 0, 0], x[..., 0])
+    assert np.array_equal(g[..., 0, 1], x[..., 1])
+    assert np.array_equal(g[..., 1, 0], 2 * x[..., 0])
+    assert np.all(g[..., 1, 1] == 3.0)
+    # the component and derivative axes last is not a layout it reads
+    with pytest.raises(ValueError, match="component"):
+        grad_array(lambda x, y: np.zeros(x.shape + (2, 2)), np.zeros((5, 3, 2)))
 
 
 def test_sipg_identity_with_average_jump(case, small_setup, rng):

@@ -12,13 +12,16 @@ from viscodg.cli import (
     CSV_HEADER,
     ConfigError,
     StudyConfig,
+    _discretization,
     _parse_number,
     main,
     parse_config,
     run_study,
 )
+from viscodg.assembly import assemble_volume_stiffness
 from viscodg.linalg import SolverError
-from viscodg.stepper import Scheme
+from viscodg.manufactured import ManufacturedCase
+from viscodg.stepper import Scheme, run
 
 
 def test_parse_number_fractions():
@@ -207,13 +210,46 @@ def test_tconv_scales_use_dt():
     assert dts == [0.5, 0.25]
 
 
-def test_stability_study_output():
-    cfg = StudyConfig(study="stability", scheme="displacement", k=1, ns=[2], dts=[0.25])
+def test_stability_study_output(monkeypatch):
+    # one run per scheme, to T=10; the T=5 peak is read off its first half
+    runs = []
+
+    def counted_run(form, space, system, material, T, *args, **kwargs):
+        runs.append((form, T))
+        return run(form, space, system, material, T, *args, **kwargs)
+
+    monkeypatch.setattr("viscodg.cli.run", counted_run)
+    cfg = StudyConfig(study="stability", scheme="both", k=1, ns=[2], dts=[0.25])
     buf = io.StringIO()
     run_study(cfg, out=buf)
     text = buf.getvalue()
-    assert "stability (displacement form)" in text
+    for s in cfg.schemes():
+        assert f"stability ({s.value} form)" in text
     assert "ratio" in text
+    assert runs == [(s, 10.0) for s in cfg.schemes()]
+    # the T=5 peak is the one a run that stops at T=5 sees
+    space, system = _discretization(cfg, 2, {})
+    case = ManufacturedCase(cfg.material())
+    energy = assemble_volume_stiffness(space, case.material) + system.J
+    for s in cfg.schemes():
+        peaks = []
+
+        def track(state):
+            peaks.append(float(state.W @ (system.M @ state.W) + state.U @ (energy @ state.U)))
+
+        run(
+            s,
+            space,
+            system,
+            case.material,
+            5.0,
+            0.25,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+            diagnostics=track,
+        )
+        assert f"({s.value} form): max energy T=5: {max(peaks):.6e}  T=10" in text
 
 
 def test_main_config_file(tmp_path, capfd):

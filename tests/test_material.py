@@ -35,6 +35,12 @@ def test_validation():
     ):
         with pytest.raises(ValueError, match="finite"):
             PronyMaterial(rho=rho, phi0=phi0, phis=(phi,), taus=(tau,))
+    # an isotropic tensor that is not positive definite on symmetric strains
+    for elastic in ((1.0, -0.5), (-3.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (nan, 1.0), (1.0, inf)):
+        with pytest.raises(ValueError, match="elastic"):
+            PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(1.0,), elastic=elastic)
+    # lam may be negative while lam + mu > 0
+    PronyMaterial(rho=1.0, phi0=0.5, phis=(0.5,), taus=(1.0,), elastic=(-0.99, 1.0))
 
 
 def test_relaxation_values():

@@ -137,6 +137,30 @@ def test_ascii_rejects_truncated():
         read_mesh("4 2\n0 0\n1 0")
 
 
+def _unit_square_text(nan_vertex=None):
+    m = build_structured_mesh(2)
+    vertices = m.vertices.copy()
+    if nan_vertex is not None:
+        vertices[nan_vertex, 0] = np.nan
+    return mesh_text(vertices, m.triangles)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 0\n0 0\n1 0\n0 1", "declares 3 vertices and 0 triangles"),
+        ("-1 0", "declares -1 vertices"),
+        ("2 1\n0 0\n1 0\n0 1 1", "declares 2 vertices"),
+        (_unit_square_text(nan_vertex=4), r"vertex 4 has a non-finite coordinate \(nan, 0.5\)"),
+        (_unit_square_text() + "\n0 1 2", "has 47 tokens, more than the 44"),
+    ],
+    ids=["no triangle", "negative count", "two vertices", "nan vertex", "extra tokens"],
+)
+def test_ascii_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_mesh(text)
+
+
 def test_rejects_zero_area_triangle():
     # triangle 1 has three collinear vertices on the diagonal
     text = "5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2\n0 4 2\n0 2 3"

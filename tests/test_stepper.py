@@ -21,34 +21,16 @@ from viscodg.mesh import build_structured_mesh
 from viscodg.space import DGSpace
 from viscodg.stepper import (
     Scheme,
-    SchemeCoefficients,
     State,
+    StepOperator,
     initialize,
     run,
     step_displacement,
-    step_matrix,
     step_velocity,
 )
 
 
-def test_scheme_coefficients(case):
-    dt = 0.25
-    co = SchemeCoefficients.build(case.material, dt)
-    taus = np.array([0.5, 1.5])
-    phis = np.array([0.1, 0.4])
-    assert np.allclose(co.a, (2 * taus - dt) / (2 * taus + dt))
-    assert np.allclose(co.b, phis * dt / (2 * taus + dt))
-    assert np.allclose(co.c, 2 * taus * phis / (2 * taus + dt))
-    assert abs(co.gamma_d - (1.0 - co.b.sum())) < 1e-15
-    assert abs(co.gamma_v - (0.5 + co.c.sum())) < 1e-15
-    # both effective stiffnesses stay positive for any dt
-    for dt in (1e-3, 1.0, 100.0):
-        co = SchemeCoefficients.build(case.material, dt)
-        assert co.gamma_d > 0
-        assert co.gamma_v > 0
-    for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"dt={bad}"):
-            SchemeCoefficients.build(case.material, bad)
+_STEPS = ((Scheme.DISPLACEMENT, step_displacement), (Scheme.VELOCITY, step_velocity))
 
 
 def _scalar_system():
@@ -58,18 +40,45 @@ def _scalar_system():
     return AssembledSystem(M=one, A=one, J=zero, alpha0=10.0, beta0=1.0)
 
 
+def test_scheme_coefficients(case):
+    dt = 0.25
+    system = _scalar_system()
+    taus = np.array([0.5, 1.5])
+    phis = np.array([0.1, 0.4])
+    a = (2 * taus - dt) / (2 * taus + dt)
+    b = phis * dt / (2 * taus + dt)
+    c = 2 * taus * phis / (2 * taus + dt)
+    disp = StepOperator.build(system, case.material, Scheme.DISPLACEMENT, dt)
+    vel = StepOperator.build(system, case.material, Scheme.VELOCITY, dt)
+    for op, scheme in ((disp, Scheme.DISPLACEMENT), (vel, Scheme.VELOCITY)):
+        assert op.scheme == scheme and op.dt == dt and op.system is system
+        assert np.allclose(op.a, a)
+    # the rows of the coefficient table in the module docstring
+    assert np.allclose(disp.rate, b)
+    assert abs(disp.gamma - (1.0 - b.sum())) < 1e-15
+    assert abs(disp.u_weight - disp.gamma / 2.0) < 1e-15
+    assert disp.sign == 1.0
+    assert np.allclose(vel.rate, c)
+    assert abs(vel.gamma - (0.5 + c.sum())) < 1e-15
+    assert abs(vel.u_weight - (vel.gamma / 2.0 - c.sum())) < 1e-15
+    assert vel.sign == -1.0
+    # both effective stiffnesses stay positive for any dt
+    for dt in (1e-3, 1.0, 100.0):
+        for scheme in Scheme:
+            assert StepOperator.build(system, case.material, scheme, dt).gamma > 0
+    for bad in (0.0, -0.25, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"dt={bad}"):
+            StepOperator.build(system, case.material, Scheme.DISPLACEMENT, bad)
+
+
 def test_crank_nicolson_exact_for_quadratic():
     # u'' + u = 2 + t^2 with zero initial data has the solution u = t^2,
     # for which the trapezoidal rule is exact
     material = PronyMaterial(rho=1.0, phi0=1.0, phis=(), taus=())
     system = _scalar_system()
     dt = 0.125
-    co = SchemeCoefficients.build(material, dt)
-    for scheme, step in (
-        (Scheme.DISPLACEMENT, step_displacement),
-        (Scheme.VELOCITY, step_velocity),
-    ):
-        K = factor(step_matrix(system, co, scheme))
+    for scheme, step in _STEPS:
+        op = StepOperator.build(system, material, scheme, dt)
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
         for n in range(16):
 
@@ -77,7 +86,7 @@ def test_crank_nicolson_exact_for_quadratic():
                 return 2.0 + t * t
 
             f_avg = np.array([0.5 * (f(n * dt) + f((n + 1) * dt))])
-            state = step(state, system, co, f_avg, K)
+            state = step(state, op, f_avg)
         assert abs(state.t - 2.0) < 1e-14
         assert abs(state.U[0] - 4.0) < 1e-12
         assert abs(state.W[0] - 4.0) < 1e-12
@@ -86,24 +95,29 @@ def test_crank_nicolson_exact_for_quadratic():
 def test_step_matrix_composition(case, small_setup):
     _, space, system = small_setup
     dt = 0.1
-    co = SchemeCoefficients.build(case.material, dt)
-    for scheme, gamma in ((Scheme.DISPLACEMENT, co.gamma_d), (Scheme.VELOCITY, co.gamma_v)):
-        K = step_matrix(system, co, scheme)
-        ref = (2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J
-        assert abs((K - ref).toarray()).max() < 1e-14
+    for scheme in Scheme:
+        op = StepOperator.build(system, case.material, scheme, dt)
+        ref = (2.0 / dt**2) * system.M + (op.gamma / 2.0) * system.A + (1.0 / dt) * system.J
+        assert abs((op.K.matrix - ref).toarray()).max() < 1e-14
 
 
-def test_step_scheme_mismatch_rejected(case):
+def test_step_scheme_mismatch_rejected():
+    # a step runs only when the state, the operator and the routine name one form
     system = _scalar_system()
-    co = SchemeCoefficients.build(PronyMaterial(1.0, 1.0, (), ()), 0.1)
-    state = State(0, 0.0, np.zeros(1), np.zeros(1), [], Scheme.VELOCITY)
-    K = factor(step_matrix(system, co, Scheme.DISPLACEMENT))
-    with pytest.raises(ValueError):
-        step_displacement(state, system, co, np.zeros(1), K)
-    state = State(0, 0.0, np.zeros(1), np.zeros(1), [], Scheme.DISPLACEMENT)
-    K = factor(step_matrix(system, co, Scheme.VELOCITY))
-    with pytest.raises(ValueError):
-        step_velocity(state, system, co, np.zeros(1), K)
+    material = PronyMaterial(1.0, 1.0, (), ())
+    ops = {scheme: StepOperator.build(system, material, scheme, 0.1) for scheme in Scheme}
+    for scheme, step in _STEPS:
+        other = Scheme.VELOCITY if scheme == Scheme.DISPLACEMENT else Scheme.DISPLACEMENT
+        for state_form, op_form in ((other, scheme), (scheme, other), (other, other)):
+            state = State(0, 0.0, np.zeros(1), np.zeros(1), [], state_form)
+            with pytest.raises(ValueError, match=f"a {scheme.value} step got"):
+                step(state, ops[op_form], np.zeros(1))
+        state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
+        assert step(state, ops[scheme], np.zeros(1)).scheme == scheme
+        # and a state whose internal variables do not match the material of the operator
+        state = State(0, 0.0, np.zeros(1), np.zeros(1), [np.zeros(1)], scheme)
+        with pytest.raises(ValueError, match="1 internal variables, the operator 0"):
+            step(state, ops[scheme], np.zeros(1))
 
 
 def test_internal_recurrence_accuracy(case):
@@ -113,10 +127,10 @@ def test_internal_recurrence_accuracy(case):
     c, t_end = 2.0, 1.0
     errs = []
     for dt in (0.1, 0.05):
-        co = SchemeCoefficients.build(m, dt)
+        op = StepOperator.build(_scalar_system(), m, Scheme.DISPLACEMENT, dt)
         psi = np.zeros(m.n_internal)
         for _ in range(round(t_end / dt)):
-            psi = co.a * psi + co.b * (c + c)
+            psi = op.a * psi + op.rate * (c + c)
         ref = np.array(
             [internal_kernel_constant_history(m, q, c, t_end) for q in range(m.n_internal)]
         )
@@ -323,9 +337,6 @@ def test_homogeneous_energy_never_grows(case, small_setup):
         assert np.all(np.diff(energies) < 1e-10 * energies[0])
 
 
-_STEPS = ((Scheme.DISPLACEMENT, step_displacement), (Scheme.VELOCITY, step_velocity))
-
-
 def _random_prony(rng, n_internal):
     phis = rng.uniform(0.05, 1.0, n_internal) / (n_internal + 1)
     taus = rng.uniform(0.05, 5.0, n_internal)
@@ -348,12 +359,11 @@ def test_shared_step_matches_block_oracle(small_setup, n_internal, dt, seed):
     _, space, system = small_setup
     rng = np.random.default_rng(seed)
     material = _random_prony(rng, n_internal)
-    co = SchemeCoefficients.build(material, dt)
     for scheme, step in _STEPS:
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
         f_avg = rng.standard_normal(space.total_dofs)
-        new = step(state, system, co, f_avg, factor(step_matrix(system, co, scheme)))
-        U1, W1, internal = block_step_oracle(system, material, co, state, f_avg)
+        new = step(state, StepOperator.build(system, material, scheme, dt), f_avg)
+        U1, W1, internal = block_step_oracle(system, material, dt, state, f_avg)
         scale = max(1.0, np.abs(U1).max())
         assert np.abs(new.U - U1).max() < 1e-10 * scale
         assert np.abs(new.W - W1).max() < 1e-10 * scale
@@ -376,14 +386,15 @@ class _Counted:
 @pytest.mark.parametrize("n_internal", [0, 1, 3])
 def test_one_step_is_three_products_and_the_guard(small_setup, rng, n_internal):
     _, space, system = small_setup
-    co = SchemeCoefficients.build(_random_prony(rng, n_internal), 0.1)
+    material = _random_prony(rng, n_internal)
     for scheme, step in _STEPS:
         calls = Counter()
         counted = dataclasses.replace(
             system, **{name: _Counted(getattr(system, name), name, calls) for name in "MAJ"}
         )
-        K = factor(step_matrix(system, co, scheme))
-        K = Factorization(_Counted(K.matrix, "K", calls), K._lu)
+        op = StepOperator.build(system, material, scheme, 0.1)
+        K = Factorization(_Counted(op.K.matrix, "K", calls), op.K._lu)
+        op = dataclasses.replace(op, system=counted, K=K)
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
-        step(state, counted, co, rng.standard_normal(space.total_dofs), K)
+        step(state, op, rng.standard_normal(space.total_dofs))
         assert calls == {"M": 1, "A": 1, "J": 1, "K": 1}
