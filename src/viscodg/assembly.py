@@ -290,17 +290,16 @@ class LoadAssembler:
         return out
 
 
-def assemble_elliptic_rhs(
-    space: DGSpace, material: PronyMaterial, u0, grad_u0, alpha0: float, beta0: float
-) -> np.ndarray:
+def assemble_elliptic_rhs(space: DGSpace, system: "AssembledSystem", u0, grad_u0) -> np.ndarray:
     """Right-hand side of a(U0, v) = a(u0, v) for a continuous field u0.
 
     ``u0(x, y) -> (ux, uy)`` and ``grad_u0(x, y)`` nested as
     [component][derivative], as ``grad_array`` reads it.  Interior jumps of
     u0 vanish, so only the average-stress edge term survives there; Dirichlet
-    edges also carry the symmetrizing and penalty terms in u0's trace.
+    edges also carry the symmetrizing and penalty terms in u0's trace.  D,
+    alpha0 and beta0 are those the system was assembled with.
     """
-    D = material.elasticity
+    D, alpha0, beta0 = system.material.elasticity, system.alpha0, system.beta0
     nt, nb = space.mesh.n_triangles, space.dofs_per_component
     n = space.total_dofs
 
@@ -352,11 +351,12 @@ def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """The three matrices of the schemes, plus the penalty parameters that built them."""
+    """The three matrices of the schemes, and the material and penalty that built them."""
 
     M: sp.csr_matrix  # rho-weighted mass
     A: sp.csr_matrix  # full SIPG form
     J: sp.csr_matrix  # jump penalty part
+    material: PronyMaterial
     alpha0: float
     beta0: float
 
@@ -365,4 +365,4 @@ def assemble_system(
     space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
 ) -> AssembledSystem:
     A, J = assemble_sipg(space, material, alpha0, beta0)
-    return AssembledSystem(assemble_mass(space, material.rho), A, J, alpha0, beta0)
+    return AssembledSystem(assemble_mass(space, material.rho), A, J, material, alpha0, beta0)

@@ -7,6 +7,7 @@ and prints a human-readable rate table to standard output.
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,6 +73,8 @@ class StudyConfig:
             raise ConfigError(f"a {self.study} study takes one dt, got {len(self.dts)}")
         if self.study in ("tconv", "stability") and len(self.ns) > 1:
             raise ConfigError(f"a {self.study} study takes one n, got {len(self.ns)}")
+        if self.study == "stability" and self.out:
+            raise ConfigError("a stability study writes no CSV, so it takes no out")
         horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.T,)
         try:
             self.material()
@@ -174,23 +177,34 @@ def _discretization(cfg: StudyConfig, n: int, cache: dict):
     return cache[key]
 
 
-def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
-    """Solve one configuration and return its ErrorReport."""
-    space, system = _discretization(cfg, n, cache)
-    case = ManufacturedCase(cfg.material())
+def _run_case(scheme: Scheme, space, system, T: float, dt: float, forced: bool, diagnostics=None):
+    """``run`` from the manufactured initial data of the system's material.
+
+    With ``forced`` the run takes the case's body force and traction, else
+    its loads are homogeneous.  Returns the case and the final state.
+    """
+    case = ManufacturedCase(system.material)
+    loads = {"body_force": case.body_force_at, "traction": case.traction_at} if forced else {}
     state = run(
         scheme,
         space,
         system,
-        case.material,
-        cfg.T,
+        system.material,
+        T,
         dt,
         u0=case.displacement_at(0.0),
         grad_u0=case.grad_displacement_at(0.0),
         w0=case.velocity_at(0.0),
-        body_force=case.body_force_at,
-        traction=case.traction_at,
+        diagnostics=diagnostics,
+        **loads,
     )
+    return case, state
+
+
+def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
+    """Solve one configuration and return its ErrorReport."""
+    space, system = _discretization(cfg, n, cache)
+    case, state = _run_case(scheme, space, system, cfg.T, dt, forced=True)
     return error_norms(state, case, space, system, dt=dt)
 
 
@@ -220,7 +234,11 @@ def _rate_table(rows_by_scheme: dict, scales: list[float], out) -> None:
 
 
 def run_study(cfg: StudyConfig, out=None) -> list[str]:
-    """Execute a study; returns the CSV rows (also written to cfg.out if set)."""
+    """Execute a study; returns the CSV rows (also written to cfg.out if set).
+
+    cfg.out is opened before the first run: a path that cannot be written
+    raises ``ConfigError`` before any work is done.
+    """
     if out is None:
         out = sys.stdout
     cache: dict = {}
@@ -233,17 +251,20 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
     runs = cfg.runs()
     scales = [dt if cfg.study == "tconv" else np.sqrt(2.0) / n for n, dt in runs]
 
+    try:
+        csv_file = open(cfg.out, "w") if cfg.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ConfigError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
     rows_by_scheme: dict = {}
-    for scheme in cfg.schemes():
-        reports = []
-        for n, dt in runs:
-            report = _run_one(cfg, scheme, n, dt, cache)
-            reports.append(report)
-            csv_rows.append(_csv_row(report, scheme, cfg.k, n))
-        rows_by_scheme[scheme] = reports
-
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    with csv_file as fh:
+        for scheme in cfg.schemes():
+            reports = []
+            for n, dt in runs:
+                report = _run_one(cfg, scheme, n, dt, cache)
+                reports.append(report)
+                csv_rows.append(_csv_row(report, scheme, cfg.k, n))
+            rows_by_scheme[scheme] = reports
+        if fh is not None:
             fh.write("\n".join(csv_rows) + "\n")
     if len(runs) > 1:
         _rate_table(rows_by_scheme, scales, out)
@@ -256,8 +277,7 @@ def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
     """Max-over-steps energy for T=5 and T=10 with homogeneous loads."""
     n, dt = cfg.runs()[0]
     space, system = _discretization(cfg, n, cache)
-    case = ManufacturedCase(cfg.material())
-    energy_matrix = assemble_volume_stiffness(space, case.material) + system.J
+    energy_matrix = assemble_volume_stiffness(space, system.material) + system.J
 
     short, long = _STABILITY_HORIZONS
     # the run to T=10 passes through T=5, so one run gives both peaks
@@ -271,18 +291,7 @@ def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
                 maxima[short] = max(maxima[short], e)
             maxima[long] = max(maxima[long], e)
 
-        run(
-            scheme,
-            space,
-            system,
-            case.material,
-            long,
-            dt,
-            u0=case.displacement_at(0.0),
-            grad_u0=case.grad_displacement_at(0.0),
-            w0=case.velocity_at(0.0),
-            diagnostics=track,
-        )
+        _run_case(scheme, space, system, long, dt, forced=False, diagnostics=track)
         ratio = maxima[long] / maxima[short]
         print(
             f"stability ({scheme.value} form): max energy T={short:g}: {maxima[short]:.6e}  "
@@ -327,6 +336,9 @@ def main(argv=None) -> int:
 
     try:
         run_study(cfg)
+    except ConfigError as exc:  # cfg.out cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except SolverError as exc:
         print(
             f"solver failure (alpha0={cfg.alpha0}, k={cfg.k}, ns={cfg.ns}): {exc}",

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem, grad_array, stress
-from .material import PronyMaterial
 from .mesh import EdgeTag
 from .space import DGSpace
 from .stepper import State
@@ -43,12 +42,7 @@ class ErrorReport:
 
 
 def _field_error_norms(
-    space: DGSpace,
-    system: AssembledSystem,
-    material: PronyMaterial,
-    coeffs: np.ndarray,
-    exact,
-    grad_exact,
+    space: DGSpace, system: AssembledSystem, coeffs: np.ndarray, exact, grad_exact
 ):
     """L2, full broken H1 and energy norms of (exact - discrete)."""
     xq = space.physical_quad_points()
@@ -64,7 +58,8 @@ def _field_error_norms(
     dg = grad_array(grad_exact, xq) - gh
     h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
 
-    energy_sq = float(np.sum(wdet[..., None, None] * stress(material.elasticity, dg) * dg))
+    sig = stress(system.material.elasticity, dg)
+    energy_sq = float(np.sum(wdet[..., None, None] * sig * dg))
 
     # jump penalty of the error over interior and Dirichlet edges
     edges = space.mesh.edges
@@ -94,13 +89,17 @@ def error_norms(
     system: AssembledSystem,
     dt: float = 0.0,
 ) -> ErrorReport:
-    """All six error norms of a state against the exact fields of ``case``."""
-    material = case.material
+    """All six error norms of a state against the exact fields of ``case``.
+
+    ``case.material`` must be the one ``system`` was assembled with, or
+    ``ValueError`` is raised.
+    """
+    if case.material != system.material:
+        raise ValueError(f"case material {case.material} is not the system's {system.material}")
     t = state.t
     u_l2, u_h1, u_en = _field_error_norms(
         space,
         system,
-        material,
         state.U,
         lambda x, y: case.displacement(x, y, t),
         lambda x, y: case.grad_displacement(x, y, t),
@@ -108,7 +107,6 @@ def error_norms(
     w_l2, w_h1, w_en = _field_error_norms(
         space,
         system,
-        material,
         state.W,
         lambda x, y: case.velocity(x, y, t),
         lambda x, y: case.grad_velocity(x, y, t),

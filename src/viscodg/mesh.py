@@ -160,19 +160,40 @@ def build_structured_mesh(n: int) -> TriMesh:
     return TriMesh(vertices, triangles)
 
 
+def _rows(tokens: list[str], kind: type, width: int, field: str) -> np.ndarray:
+    """Tokens as an array of ``width`` columns of ``kind`` (float or int).
+
+    A token that does not parse raises ValueError naming its row and itself.
+    """
+    try:
+        return np.array(tokens, dtype=np.int64 if kind is int else kind).reshape(-1, width)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        for i, token in enumerate(tokens):
+            try:
+                kind(token)
+            except ValueError:
+                raise ValueError(f"{field} {i // width}: '{token}' is not {what}") from None
+        raise
+
+
 def read_mesh(text: str) -> TriMesh:
     """Parse the ASCII mesh format: ``nv nt`` header, vertex lines, triangle lines.
 
     The mesh must cover the unit square: boundary edges are classified
     geometrically (Dirichlet on x=0 or y=0, Neumann on x=1 or y=1), and a
     boundary edge on none of these sides raises ValueError.  So does a
-    header with fewer than 3 vertices or no triangle, a non-finite vertex
-    coordinate, or a token count other than the header's.
+    header with fewer than 3 vertices or no triangle, a token that does not
+    parse (naming the header, vertex or triangle and the token), a non-finite
+    vertex coordinate, or a token count other than the header's.
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("mesh file too short")
-    nv, nt = int(tokens[0]), int(tokens[1])
+    try:
+        nv, nt = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"mesh header '{tokens[0]} {tokens[1]}' is not two integers") from None
     if nv < 3 or nt < 1:
         raise ValueError(
             f"mesh header declares {nv} vertices and {nt} triangles; need >= 3 and >= 1"
@@ -184,12 +205,12 @@ def read_mesh(text: str) -> TriMesh:
         raise ValueError(
             f"mesh file has {len(tokens)} tokens, more than the {need} its header declares"
         )
-    vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
+    vertices = _rows(tokens[2 : 2 + 2 * nv], float, 2, "vertex")
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=-1))
     if bad.size:
         v = bad[0]
         raise ValueError(f"vertex {v} has a non-finite coordinate {tuple(vertices[v].tolist())}")
-    tris = np.array(tokens[2 + 2 * nv : need], dtype=np.int64).reshape(nt, 3)
+    tris = _rows(tokens[2 + 2 * nv : need], int, 3, "triangle")
     if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex index out of range")
     # enforce CCW orientation

@@ -76,10 +76,9 @@ class StepOperator:
     K: Factorization
 
     @classmethod
-    def build(
-        cls, system: AssembledSystem, material: PronyMaterial, scheme: Scheme, dt: float
-    ) -> "StepOperator":
+    def build(cls, system: AssembledSystem, scheme: Scheme, dt: float) -> "StepOperator":
         _check_time_step(dt)
+        material = system.material
         taus = np.array(material.taus)
         phis = np.array(material.phis)
         a = (2 * taus - dt) / (2 * taus + dt)
@@ -95,32 +94,22 @@ class StepOperator:
         return cls(system, scheme, dt, a, rate, gamma, u_weight, sign, K)
 
 
-def initialize(
-    system: AssembledSystem,
-    space: DGSpace,
-    material: PronyMaterial,
-    u0,
-    grad_u0,
-    w0,
-    scheme: Scheme,
-) -> State:
+def initialize(system: AssembledSystem, space: DGSpace, u0, grad_u0, w0, scheme: Scheme) -> State:
     """Discrete initial data: elliptic projection of u0, L2 projection of w0."""
     if (u0 is None) != (grad_u0 is None):
         missing = "grad_u0" if grad_u0 is None else "u0"
         raise ValueError(f"{missing} is missing: the elliptic projection needs u0 and grad_u0")
-    n_internal = material.n_internal
     if u0 is None:
         U = np.zeros(space.total_dofs)
     else:
-        rhs = assemble_elliptic_rhs(space, material, u0, grad_u0, system.alpha0, system.beta0)
-        U = factor(system.A).solve(rhs)
+        U = factor(system.A).solve(assemble_elliptic_rhs(space, system, u0, grad_u0))
     if w0 is None:
         W = np.zeros(space.total_dofs)
     else:
         rhs = LoadAssembler(space).assemble(f=w0)
         # M is rho-weighted, so scaling the load by rho gives the plain L2 projection
-        W = factor(system.M).solve(material.rho * rhs)
-    internal = [np.zeros(space.total_dofs) for _ in range(n_internal)]
+        W = factor(system.M).solve(system.material.rho * rhs)
+    internal = [np.zeros(space.total_dofs) for _ in range(system.material.n_internal)]
     return State(0, 0.0, U, W, internal, scheme)
 
 
@@ -213,11 +202,14 @@ def run(
     its coefficients, as for ``ManufacturedCase``.  ``diagnostics(state)``
     is called at every time level when given.  The form's ``StepOperator``
     (its coefficient row and factored step matrix) is built once, after the
-    first ``diagnostics`` call, and reused for every step.
+    first ``diagnostics`` call, and reused for every step.  ``material``
+    must be the one ``system`` was assembled with, or ``ValueError`` is raised.
     """
+    if material != system.material:
+        raise ValueError(f"material {material} is not the system's {system.material}")
     n_steps = step_count(T, dt)
 
-    state = initialize(system, space, material, u0, grad_u0, w0, scheme)
+    state = initialize(system, space, u0, grad_u0, w0, scheme)
 
     loads = LoadAssembler(space)
 
@@ -242,7 +234,7 @@ def run(
 
     if diagnostics is not None:
         diagnostics(state)
-    op = StepOperator.build(system, material, scheme, dt)
+    op = StepOperator.build(system, scheme, dt)
     for n in range(n_steps):
         f_next = load_at((n + 1) * dt)
         state = step(state, op, 0.5 * (f_prev + f_next))

@@ -285,7 +285,7 @@ def test_criterion_8a_block_system_oracle(case, small_setup, rng):
             scheme,
         )
         f_avg = rng.standard_normal(N)
-        new = step(state, StepOperator.build(system, case.material, scheme, dt), f_avg)
+        new = step(state, StepOperator.build(system, scheme, dt), f_avg)
         U1, W1, internal = conftest.block_step_oracle(system, case.material, dt, state, f_avg)
         scale = max(1.0, np.abs(U1).max())
         worst = max(worst, np.abs(new.U - U1).max() / scale)
@@ -383,7 +383,6 @@ def test_criterion_9_initial_data(case):
             st = initialize(
                 system,
                 space,
-                case.material,
                 case.displacement_at(0.0),
                 case.grad_displacement_at(0.0),
                 case.velocity_at(0.0),

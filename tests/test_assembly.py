@@ -279,7 +279,7 @@ def test_elliptic_rhs_reproduces_polynomials(case):
                 (3.0 * o, -1.0 * o),
             )
 
-        rhs = assemble_elliptic_rhs(space, case.material, u0, grad_u0, 10.0, 1.0)
+        rhs = assemble_elliptic_rhs(space, system, u0, grad_u0)
         U = factor(system.A).solve(rhs)
         assert np.abs(U - space.interpolate(u0)).max() < 1e-9
 
@@ -321,9 +321,11 @@ def test_sipg_identity_with_average_jump(case, small_setup, rng):
 
 def test_assembled_system_contents(case, small_setup):
     _, space, system = small_setup
-    # the schemes need the mass, the SIPG form and its penalty part, nothing else
+    # the schemes need the mass, the SIPG form and its penalty part, and the
+    # material and penalty that built them, nothing else
     fields = [f.name for f in dataclasses.fields(AssembledSystem)]
-    assert fields == ["M", "A", "J", "alpha0", "beta0"]
+    assert fields == ["M", "A", "J", "material", "alpha0", "beta0"]
+    assert (system.material, system.alpha0, system.beta0) == (case.material, 10.0, 1.0)
     assert system.M.shape == (space.total_dofs, space.total_dofs)
     # rho = 1 here, so M is the plain mass, bit for bit
     assert abs(system.M - assemble_mass(space, 1.0)).max() == 0.0
@@ -332,6 +334,7 @@ def test_assembled_system_contents(case, small_setup):
     assert abs(system.J - J).max() == 0.0
     rho2 = PronyMaterial(rho=2.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     sys2 = assemble_system(space, rho2, 10.0, 1.0)
+    assert sys2.material is rho2
     assert abs((sys2.M - 2.0 * assemble_mass(space, 1.0)).toarray()).max() < 1e-14
 
 

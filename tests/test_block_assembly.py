@@ -65,7 +65,7 @@ def test_block_assembly_matches_reference(case, k, n, isotropic, seed):
 
     vectors = {
         "load": LoadAssembler(space).assemble(f=f, g_N=g_N),
-        "rhs": assemble_elliptic_rhs(space, material, u0, grad_u0, alpha0, 1.0),
+        "rhs": assemble_elliptic_rhs(space, system, u0, grad_u0),
     }
     for name, new in vectors.items():
         assert np.abs(new - ref[name]).max() <= 1e-14 * np.abs(ref[name]).max(), name
@@ -94,7 +94,7 @@ def test_invariants_on_perturbed_meshes(k, n, seed):
         v = space.interpolate(rigid)
         assert np.abs(A_vol @ v).max() <= 1e-12 * abs(A_vol).max() * np.abs(v).max()
 
-    K = StepOperator.build(system, material, Scheme.DISPLACEMENT, 1.0 / 8).K.matrix
+    K = StepOperator.build(system, Scheme.DISPLACEMENT, 1.0 / 8).K.matrix
     for m in (system.A, system.J, K):
         assert _relative_asymmetry(m) <= 1e-13
 

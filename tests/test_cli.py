@@ -117,6 +117,8 @@ def _valid_configs(draw):
     max_dts = 4 if study == "tconv" else 1
     phis = draw(st.lists(_floats(0.01, 0.3), min_size=1, max_size=3))
     out = st.text("abcXYZ019._-/", min_size=1, max_size=12)
+    # a stability study writes no CSV
+    out = st.none() if study == "stability" else st.none() | out
     return StudyConfig(
         study=study,
         scheme=draw(st.sampled_from(_SCHEMES)),
@@ -130,7 +132,7 @@ def _valid_configs(draw):
         phi0=1.0 - sum(phis),
         phis=tuple(phis),
         taus=tuple(draw(st.lists(_floats(0.01, 100.0), min_size=len(phis), max_size=len(phis)))),
-        out=draw(st.one_of(st.none(), out)),
+        out=draw(out),
     )
 
 
@@ -312,6 +314,8 @@ _REJECTED = [
     ("--study tconv --k 1 --n 2,4 --dt 1/4,1/8 --T 1/2", "a tconv study takes one n"),
     ("--study stability --k 1 --n 2 --dt 1/4,1/8", "a stability study takes one dt"),
     ("--study stability --k 1 --n 2,4 --dt h", "a stability study takes one n"),
+    # a stability study would write nothing to it
+    ("--study stability --k 1 --n 2 --dt 1/4 --out x.csv", "a stability study writes no CSV"),
 ]
 
 
@@ -323,6 +327,18 @@ def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
     monkeypatch.setattr("viscodg.cli.run_study", no_study)
     assert main(args.split()) == 2
     assert f"config error: {message}" in capfd.readouterr().err
+
+
+def test_main_rejects_an_unwritable_out_before_any_run(tmp_path, capfd, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the CSV file was opened")
+
+    monkeypatch.setattr("viscodg.cli.run", no_run)
+    out = tmp_path / "no such dir" / "x.csv"
+    args = ["--study", "hconv", "--k", "1", "--n", "2,4", "--dt", "1/4", "--out", str(out)]
+    assert main(args) == 2
+    assert f"config error: cannot write out={out}" in capfd.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_main_solver_failure_exit_code(capfd, monkeypatch):

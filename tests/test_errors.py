@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import space_with_quadrature
 
 from viscodg.errors import convergence_rate, error_norms
+from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.stepper import Scheme, State
 
@@ -73,6 +76,16 @@ def test_zero_state_norms_of_uniaxial_field(small_setup):
     assert abs(rep.err_w_L2 - rep.err_u_L2) < 1e-14
 
 
+def test_error_norms_reject_another_material(small_setup):
+    # exact fields of a rho=3 material against a system assembled for rho=1
+    _, space, system = small_setup
+    other = ManufacturedCase(PronyMaterial(3.0, 0.9, (0.1,), (0.5,)))
+    Z = np.zeros(space.total_dofs)
+    message = f"case material {other.material} is not the system's {system.material}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        error_norms(_state(space, Z, Z), other, space, system)
+
+
 def test_error_norms_on_manufactured_case(case, small_setup):
     # elliptic projection of u(0) has small but nonzero error on a coarse mesh
     from viscodg.stepper import initialize
@@ -81,7 +94,6 @@ def test_error_norms_on_manufactured_case(case, small_setup):
     st = initialize(
         system,
         space,
-        case.material,
         case.displacement_at(0.0),
         case.grad_displacement_at(0.0),
         case.velocity_at(0.0),
@@ -125,7 +137,6 @@ def test_quadrature_refinement_is_converged(case):
         st = initialize(
             system,
             space,
-            case.material,
             case.displacement_at(0.0),
             case.grad_displacement_at(0.0),
             case.velocity_at(0.0),

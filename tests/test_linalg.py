@@ -71,7 +71,7 @@ def test_element_order_cuts_fill(case):
     # ordering of the DOF graph, which fills 1.29e6 for K and 6.96e6 for A here
     space = DGSpace.build(build_structured_mesh(16), 2)
     system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
-    op = StepOperator.build(system, case.material, Scheme.DISPLACEMENT, 1.0 / 8)
+    op = StepOperator.build(system, Scheme.DISPLACEMENT, 1.0 / 8)
     assert _lu_fill(op.K) <= 1.05e6
 
     space = DGSpace.build(build_structured_mesh(16), 3)

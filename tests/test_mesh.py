@@ -153,8 +153,22 @@ def _unit_square_text(nan_vertex=None):
         ("2 1\n0 0\n1 0\n0 1 1", "declares 2 vertices"),
         (_unit_square_text(nan_vertex=4), r"vertex 4 has a non-finite coordinate \(nan, 0.5\)"),
         (_unit_square_text() + "\n0 1 2", "has 47 tokens, more than the 44"),
+        ("3.5 1\n0 0\n1 0\n0 1\n0 1 2", "mesh header '3.5 1' is not two integers"),
+        ("3 x\n0 0\n1 0\n0 1\n0 1 2", "mesh header '3 x' is not two integers"),
+        ("3 1\n0 0\n1 0,5\n0 1\n0 1 2", "vertex 1: '0,5' is not a number"),
+        ("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2.5 1", "triangle 1: '2.5' is not an integer"),
     ],
-    ids=["no triangle", "negative count", "two vertices", "nan vertex", "extra tokens"],
+    ids=[
+        "no triangle",
+        "negative count",
+        "two vertices",
+        "nan vertex",
+        "extra tokens",
+        "fractional header",
+        "word in header",
+        "bad vertex token",
+        "fractional index",
+    ],
 )
 def test_ascii_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):

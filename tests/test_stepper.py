@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from viscodg.assembly import (
     assemble_volume_stiffness,
 )
 from viscodg.linalg import Factorization, factor
+from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.mesh import build_structured_mesh
 from viscodg.space import DGSpace
@@ -33,23 +35,33 @@ from viscodg.stepper import (
 _STEPS = ((Scheme.DISPLACEMENT, step_displacement), (Scheme.VELOCITY, step_velocity))
 
 
-def _scalar_system():
-    """1-DOF oscillator u'' + u = f as a degenerate assembled system."""
+def _scalar_system(material):
+    """1-DOF oscillator u'' + u = f as a degenerate assembled system of ``material``."""
     one = sp.csr_matrix(np.array([[1.0]]))
     zero = sp.csr_matrix(np.array([[0.0]]))
-    return AssembledSystem(M=one, A=one, J=zero, alpha0=10.0, beta0=1.0)
+    return AssembledSystem(M=one, A=one, J=zero, material=material, alpha0=10.0, beta0=1.0)
 
 
-def test_scheme_coefficients(case):
+@st.composite
+def _prony_materials(draw):
+    """Valid Prony materials with 0 to 3 internal variables."""
+    phis = draw(st.lists(st.floats(0.01, 0.3), min_size=0, max_size=3))
+    taus = draw(st.lists(st.floats(0.01, 100.0), min_size=len(phis), max_size=len(phis)))
+    return PronyMaterial(rho=1.0, phi0=1.0 - sum(phis), phis=tuple(phis), taus=tuple(taus))
+
+
+@settings(max_examples=50, deadline=None)
+@given(material=_prony_materials(), any_dt=st.floats(1e-4, 10.0))
+def test_scheme_coefficients(case, material, any_dt):
     dt = 0.25
-    system = _scalar_system()
+    system = _scalar_system(case.material)
     taus = np.array([0.5, 1.5])
     phis = np.array([0.1, 0.4])
     a = (2 * taus - dt) / (2 * taus + dt)
     b = phis * dt / (2 * taus + dt)
     c = 2 * taus * phis / (2 * taus + dt)
-    disp = StepOperator.build(system, case.material, Scheme.DISPLACEMENT, dt)
-    vel = StepOperator.build(system, case.material, Scheme.VELOCITY, dt)
+    disp = StepOperator.build(system, Scheme.DISPLACEMENT, dt)
+    vel = StepOperator.build(system, Scheme.VELOCITY, dt)
     for op, scheme in ((disp, Scheme.DISPLACEMENT), (vel, Scheme.VELOCITY)):
         assert op.scheme == scheme and op.dt == dt and op.system is system
         assert np.allclose(op.a, a)
@@ -62,23 +74,24 @@ def test_scheme_coefficients(case):
     assert abs(vel.gamma - (0.5 + c.sum())) < 1e-15
     assert abs(vel.u_weight - (vel.gamma / 2.0 - c.sum())) < 1e-15
     assert vel.sign == -1.0
-    # both effective stiffnesses stay positive for any dt
-    for dt in (1e-3, 1.0, 100.0):
-        for scheme in Scheme:
-            assert StepOperator.build(system, case.material, scheme, dt).gamma > 0
+    # both effective stiffnesses, every rate and every decay factor stay in
+    # range for any valid material and dt
+    for scheme in Scheme:
+        op = StepOperator.build(_scalar_system(material), scheme, any_dt)
+        assert op.gamma > 0
+        assert np.all(op.rate > 0) and np.all(np.abs(op.a) < 1)
     for bad in (0.0, -0.25, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"dt={bad}"):
-            StepOperator.build(system, case.material, Scheme.DISPLACEMENT, bad)
+            StepOperator.build(system, Scheme.DISPLACEMENT, bad)
 
 
 def test_crank_nicolson_exact_for_quadratic():
     # u'' + u = 2 + t^2 with zero initial data has the solution u = t^2,
     # for which the trapezoidal rule is exact
-    material = PronyMaterial(rho=1.0, phi0=1.0, phis=(), taus=())
-    system = _scalar_system()
+    system = _scalar_system(PronyMaterial(rho=1.0, phi0=1.0, phis=(), taus=()))
     dt = 0.125
     for scheme, step in _STEPS:
-        op = StepOperator.build(system, material, scheme, dt)
+        op = StepOperator.build(system, scheme, dt)
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
         for n in range(16):
 
@@ -96,16 +109,15 @@ def test_step_matrix_composition(case, small_setup):
     _, space, system = small_setup
     dt = 0.1
     for scheme in Scheme:
-        op = StepOperator.build(system, case.material, scheme, dt)
+        op = StepOperator.build(system, scheme, dt)
         ref = (2.0 / dt**2) * system.M + (op.gamma / 2.0) * system.A + (1.0 / dt) * system.J
         assert abs((op.K.matrix - ref).toarray()).max() < 1e-14
 
 
 def test_step_scheme_mismatch_rejected():
     # a step runs only when the state, the operator and the routine name one form
-    system = _scalar_system()
-    material = PronyMaterial(1.0, 1.0, (), ())
-    ops = {scheme: StepOperator.build(system, material, scheme, 0.1) for scheme in Scheme}
+    system = _scalar_system(PronyMaterial(1.0, 1.0, (), ()))
+    ops = {scheme: StepOperator.build(system, scheme, 0.1) for scheme in Scheme}
     for scheme, step in _STEPS:
         other = Scheme.VELOCITY if scheme == Scheme.DISPLACEMENT else Scheme.DISPLACEMENT
         for state_form, op_form in ((other, scheme), (scheme, other), (other, other)):
@@ -127,7 +139,7 @@ def test_internal_recurrence_accuracy(case):
     c, t_end = 2.0, 1.0
     errs = []
     for dt in (0.1, 0.05):
-        op = StepOperator.build(_scalar_system(), m, Scheme.DISPLACEMENT, dt)
+        op = StepOperator.build(_scalar_system(m), Scheme.DISPLACEMENT, dt)
         psi = np.zeros(m.n_internal)
         for _ in range(round(t_end / dt)):
             psi = op.a * psi + op.rate * (c + c)
@@ -144,7 +156,6 @@ def test_initialize_projections(case, small_setup):
     st = initialize(
         system,
         space,
-        case.material,
         u0=lambda x, y: (x + 2 * y, 3 * x - y),
         grad_u0=lambda x, y: (
             (np.ones_like(x), 2 * np.ones_like(x)),
@@ -171,14 +182,14 @@ def test_velocity_projection_is_the_plain_l2_projection(case, rho, k):
     material = PronyMaterial(rho=rho, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     system = assemble_system(space, material)
     w0 = case.velocity_at(0.0)
-    W = initialize(system, space, material, None, None, w0, Scheme.VELOCITY).W
+    W = initialize(system, space, None, None, w0, Scheme.VELOCITY).W
     ref = factor(assemble_mass(space, 1.0)).solve(LoadAssembler(space).assemble(f=w0))
     assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_initialize_none_is_zero(case, small_setup):
     _, space, system = small_setup
-    st = initialize(system, space, case.material, None, None, None, Scheme.VELOCITY)
+    st = initialize(system, space, None, None, None, Scheme.VELOCITY)
     assert np.allclose(st.U, 0.0)
     assert np.allclose(st.W, 0.0)
 
@@ -228,6 +239,33 @@ def test_run_rejects_bad_time_inputs_up_front(case, small_setup, monkeypatch, T,
         )
 
 
+def test_run_rejects_another_material_up_front(small_setup, monkeypatch):
+    # a rho=3 material on a system assembled for rho=1 fails, naming both,
+    # before any projection or factorization
+    _, space, system = small_setup
+    other = ManufacturedCase(PronyMaterial(3.0, 0.9, (0.1,), (0.5,)))
+
+    def no_factor(matrix):
+        raise AssertionError("factored before the material was checked")
+
+    monkeypatch.setattr("viscodg.stepper.factor", no_factor)
+    message = f"material {other.material} is not the system's {system.material}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(
+            Scheme.DISPLACEMENT,
+            space,
+            system,
+            other.material,
+            T=1.0,
+            dt=0.25,
+            u0=other.displacement_at(0.0),
+            grad_u0=other.grad_displacement_at(0.0),
+            w0=other.velocity_at(0.0),
+            body_force=other.body_force_at,
+            traction=other.traction_at,
+        )
+
+
 @pytest.mark.parametrize("missing", ["u0", "grad_u0"])
 def test_initial_displacement_needs_u0_and_grad_u0(case, small_setup, monkeypatch, missing):
     # either one alone fails, naming the missing one, before any factorization
@@ -242,7 +280,7 @@ def test_initial_displacement_needs_u0_and_grad_u0(case, small_setup, monkeypatc
     with pytest.raises(ValueError, match=f"^{missing} is missing"):
         run(Scheme.DISPLACEMENT, space, system, case.material, T=1.0, dt=0.25, **data)
     with pytest.raises(ValueError, match=f"^{missing} is missing"):
-        initialize(system, space, case.material, data["u0"], data["grad_u0"], None, Scheme.VELOCITY)
+        initialize(system, space, data["u0"], data["grad_u0"], None, Scheme.VELOCITY)
 
 
 def test_run_zero_steps(case, small_setup):
@@ -356,13 +394,14 @@ def _random_state(rng, scheme, N, n_internal):
 )
 def test_shared_step_matches_block_oracle(small_setup, n_internal, dt, seed):
     # the eliminated step of both forms solves the unreduced block system
-    _, space, system = small_setup
+    _, space, _ = small_setup
     rng = np.random.default_rng(seed)
     material = _random_prony(rng, n_internal)
+    system = assemble_system(space, material)
     for scheme, step in _STEPS:
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
         f_avg = rng.standard_normal(space.total_dofs)
-        new = step(state, StepOperator.build(system, material, scheme, dt), f_avg)
+        new = step(state, StepOperator.build(system, scheme, dt), f_avg)
         U1, W1, internal = block_step_oracle(system, material, dt, state, f_avg)
         scale = max(1.0, np.abs(U1).max())
         assert np.abs(new.U - U1).max() < 1e-10 * scale
@@ -385,14 +424,14 @@ class _Counted:
 
 @pytest.mark.parametrize("n_internal", [0, 1, 3])
 def test_one_step_is_three_products_and_the_guard(small_setup, rng, n_internal):
-    _, space, system = small_setup
-    material = _random_prony(rng, n_internal)
+    _, space, _ = small_setup
+    system = assemble_system(space, _random_prony(rng, n_internal))
     for scheme, step in _STEPS:
         calls = Counter()
         counted = dataclasses.replace(
             system, **{name: _Counted(getattr(system, name), name, calls) for name in "MAJ"}
         )
-        op = StepOperator.build(system, material, scheme, 0.1)
+        op = StepOperator.build(system, scheme, 0.1)
         K = Factorization(_Counted(op.K.matrix, "K", calls), op.K._lu)
         op = dataclasses.replace(op, system=counted, K=K)
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
