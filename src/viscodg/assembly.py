@@ -9,9 +9,14 @@ Dirichlet conditions are imposed weakly through the boundary edge terms
 DOFs are element-contiguous, so every matrix is made of nd x nd element
 blocks: one per triangle, on the diagonal, and two per interior edge, coupling
 its two triangles.  Local matrices are summed straight into one
-(n_blocks, nd, nd) array, which becomes a BSR matrix and then CSR with its
-explicit zeros dropped.  On an affine triangle the element stiffness is
-quadratic in the inverse Jacobian, K_t = det_t sum Jinv_ab Jinv_cd R[ab, cd],
+(n_blocks, nd, nd) array (J's, which act on each displacement component
+alone, as scalar blocks expanded once), which becomes a BSR matrix and then
+CSR with its explicit zeros dropped, except in A: A keeps a zero where J or
+M has an entry, so A's pattern holds both.  A step matrix
+c_M M + c_A A + c_J J (``AssembledSystem.combine``) is then one new data
+vector that shares A's index arrays.  On an affine triangle the element
+stiffness is quadratic in the inverse Jacobian,
+K_t = det_t sum Jinv_ab Jinv_cd R[ab, cd],
 with R a (16, nd^2) reference tensor tabulated once from the reference
 gradients, D and the weights; all elements then take one matrix product.
 Edge and load sums are batched matrix products with the weights folded into
@@ -42,14 +47,6 @@ def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g.reshape(g.shape[:-2] + (4,)) @ D.reshape(4, 4).T).reshape(g.shape)
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of element blocks ``data`` in BSR layout, explicit zeros dropped."""
-    n = (len(indptr) - 1) * data.shape[1]
-    mat = sp.bsr_matrix((data, indices, indptr), shape=(n, n)).tocsr()
-    mat.eliminate_zeros()
-    return mat
-
-
 def _sum_rows(P: sp.csr_matrix, blocks: np.ndarray) -> np.ndarray:
     """Blocks (n, nd, nd) summed by a sparse (n, len(blocks)) incidence matrix."""
     return (P @ blocks.reshape(len(blocks), -1)).reshape((P.shape[0],) + blocks.shape[1:])
@@ -64,16 +61,24 @@ def _componentwise(block: np.ndarray) -> np.ndarray:
 
 
 def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    nt = len(blocks)
-    return _csr(blocks, np.arange(nt), np.arange(nt + 1))
+    """CSR matrix of diagonal blocks (nt, nd, nd), explicit zeros dropped."""
+    nt, nd = blocks.shape[:2]
+    mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
+    mat = mat.tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _reference_mass(space: DGSpace) -> np.ndarray:
+    """Vector mass block (nd, nd) of the reference triangle; element t's is det_t times it."""
+    return _componentwise((space.ref_values.T * space.elem_weights) @ space.ref_values)
 
 
 def assemble_mass(space: DGSpace, weight: float = 1.0) -> sp.csr_matrix:
     """Block-diagonal (weight * v, w) mass matrix."""
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError(f"mass weight {weight} must be positive and finite")
-    mref = (space.ref_values.T * space.elem_weights) @ space.ref_values
-    return _block_diagonal(_componentwise(weight * space.det_jac[:, None, None] * mref))
+    return _block_diagonal(weight * space.det_jac[:, None, None] * _reference_mass(space))
 
 
 def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
@@ -101,10 +106,11 @@ def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr
 def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0, beta0):
     """Consistency and penalty blocks of the edges ``ids``, all of one arity.
 
-    Yields (test side r, trial side s >= r, consistency, penalty), the blocks
-    (ne, nd, nd) of -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n]
-    and of alpha0 / |e|^beta0 int [v] . [w]; those of (s, r) are their
-    transposes.
+    Yields (test side r, trial side s >= r, consistency, penalty): the blocks
+    (ne, nd, nd) of -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n],
+    and the scalar blocks (ne, nb, nb) of alpha0 / |e|^beta0 int [v] . [w],
+    which act on each displacement component alone; those of (s, r) are
+    their transposes.
     """
     edges = space.mesh.edges
     nb, nd = space.dofs_per_component, space.dofs_per_element
@@ -136,14 +142,17 @@ def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alp
             consist = (-cavg * signs[r]) * t1(r, s)
             consist -= (cavg * signs[s]) * np.swapaxes(t1(s, r), 1, 2)
             p = (signs[r] * signs[s] * pen)[:, None, None] * (wvals[r] @ vals[s])
-            yield r, s, consist, _componentwise(p)
+            yield r, s, consist, p
 
 
 def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0: float):
-    """Full SIPG matrix A and its jump-penalty part J.
+    """Full SIPG matrix A, its jump-penalty part J, and where M's and J's entries sit in A.
 
     A = volume strain energy - symmetrized consistency edge terms + J, with
-    edge terms over interior and Dirichlet edges only.
+    edge terms over interior and Dirichlet edges only.  A is stored on the
+    union of its own pattern, J's and that of the mass matrix (``assemble_mass``),
+    so it keeps an explicit zero where it cancels and J or M does not.  Returns
+    A, J and the index arrays ``M_slots``, ``J_slots`` of ``AssembledSystem``.
     """
     if not (math.isfinite(alpha0) and alpha0 > 0):
         raise ValueError(f"penalty parameter alpha0={alpha0} must be positive and finite")
@@ -168,7 +177,7 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     diag, upper, lower = np.split(slot, [nt, nt + len(interior)])
 
     a_data = np.zeros((len(slot), nd, nd))
-    j_data = np.zeros_like(a_data)
+    penalties = np.zeros((len(slot), nd // 2, nd // 2))  # J's blocks, per component
     a_data[diag] = _volume_blocks(space, D)
     for ids, arity in ((interior, 2), (dirichlet, 1)):
         for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0, beta0):
@@ -178,17 +187,39 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
                 ones = np.ones(len(ids))
                 P = sp.csr_matrix((ones, (elems, np.arange(len(ids)))), shape=(nt, len(ids)))
                 a_data[diag] += _sum_rows(P, consist)
-                j_data[diag] += _sum_rows(P, penalty)
+                penalties[diag] += _sum_rows(P, penalty)
             else:
                 a_data[upper] = consist
                 a_data[lower] = np.swapaxes(consist, 1, 2)
-                j_data[upper] = penalty
-                j_data[lower] = np.swapaxes(penalty, 1, 2)
+                penalties[upper] = penalty
+                penalties[lower] = np.swapaxes(penalty, 1, 2)
             del consist, penalty  # freed before the generator builds the next pair
+    j_data = _componentwise(penalties)
+    del penalties
     a_data += j_data
-    J = _csr(j_data, indices, indptr)
+    # every entry of every block, in CSR order; entries of none of M, A and J are dropped
+    n = nt * nd
+    J = sp.bsr_matrix((j_data, indices, indptr), shape=(n, n)).tocsr()
     del j_data  # the two block arrays are the largest temporaries of assembly
-    return _csr(a_data, indices, indptr), J
+    A = sp.bsr_matrix((a_data, indices, indptr), shape=(n, n)).tocsr()
+    del a_data
+    in_J = J.data != 0
+    J.eliminate_zeros()
+    # entry (i, j) of triangle t's diagonal block, the p-th block of its block
+    # row, is entry p nd + j of CSR row t nd + i
+    start = A.indptr[:-1].reshape(nt, nd) + nd * (diag - indptr[:-1])[:, None]
+    i, j = np.nonzero(_reference_mass(space))
+    in_M = np.zeros_like(in_J)
+    in_M[start[:, i] + j] = True
+    kept = A.data != 0
+    kept |= in_J
+    kept |= in_M
+    M_slots, J_slots = (np.flatnonzero(part[kept]).astype(A.indices.dtype) for part in (in_M, in_J))
+    counts = np.add.reduceat(kept, A.indptr[:-1], dtype=A.indptr.dtype)
+    A = sp.csr_matrix(
+        (A.data[kept], A.indices[kept], np.concatenate([[0], np.cumsum(counts)])), shape=(n, n)
+    )
+    return A, J, M_slots, J_slots
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
@@ -351,18 +382,43 @@ def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """The three matrices of the schemes, and the material and penalty that built them."""
+    """The three matrices of the schemes, and the material and penalty that built them.
+
+    A's pattern holds M's and J's: entry i of ``M.data`` sits at
+    ``A.data[M_slots[i]]``, and likewise for J, so a combination of the three
+    is a new data vector on A's index arrays.
+    """
 
     M: sp.csr_matrix  # rho-weighted mass
     A: sp.csr_matrix  # full SIPG form
     J: sp.csr_matrix  # jump penalty part
+    M_slots: np.ndarray
+    J_slots: np.ndarray
     material: PronyMaterial
     alpha0: float
     beta0: float
+
+    def combine(self, c_M: float, c_A: float, c_J: float) -> sp.csr_matrix:
+        """c_M M + c_A A + c_J J as a CSR matrix that shares A's index arrays.
+
+        Each entry is summed as (c_M M + c_A A) + c_J J, as the sparse sums
+        do, so the values are theirs bit for bit; only the data vector is
+        new.  The index arrays are A's and must never be changed in place.
+        """
+        A = self.A
+        if not A.has_canonical_format:
+            raise ValueError("A must be canonical CSR: step matrices share its index arrays")
+        data = c_A * A.data
+        np.add.at(data, self.M_slots, c_M * self.M.data)
+        np.add.at(data, self.J_slots, c_J * self.J.data)
+        K = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+        K.indices = A.indices  # the constructor keeps a view of A's array, not the array
+        return K
 
 
 def assemble_system(
     space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
 ) -> AssembledSystem:
-    A, J = assemble_sipg(space, material, alpha0, beta0)
-    return AssembledSystem(assemble_mass(space, material.rho), A, J, material, alpha0, beta0)
+    A, J, M_slots, J_slots = assemble_sipg(space, material, alpha0, beta0)
+    M = assemble_mass(space, material.rho)
+    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0, beta0)

@@ -75,6 +75,15 @@ class StudyConfig:
             raise ConfigError(f"a {self.study} study takes one n, got {len(self.ns)}")
         if self.study == "stability" and self.out:
             raise ConfigError("a stability study writes no CSV, so it takes no out")
+        # each run of a study refines the last: the rate table needs it
+        if self.study == "tconv":
+            dts = [dt for _, dt in self.runs()]
+            if any(finer >= dt for dt, finer in zip(dts, dts[1:])):
+                given = ", ".join(f"{dt:g}" for dt in dts)
+                raise ConfigError(f"time steps must strictly decrease, got dt = {given}")
+        elif any(finer <= n for n, finer in zip(self.ns, self.ns[1:])):
+            given = ", ".join(map(str, self.ns))
+            raise ConfigError(f"mesh subdivisions must strictly increase, got n = {given}")
         horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.T,)
         try:
             self.material()

@@ -31,9 +31,14 @@ class Factorization:
     _lu: spla.SuperLU
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve K x = b; a non-finite b raises ValueError, a large residual SolverError."""
+        nb = np.linalg.norm(b)
+        if not np.isfinite(nb):
+            bad = np.flatnonzero(~np.isfinite(b))
+            if len(bad):
+                raise ValueError(f"right-hand side entry {bad[0]} is {b.flat[bad[0]]}, not finite")
         # _lu factors the transpose of the matrix (see ``factor``)
         x = self._lu.solve(b, trans="T")
-        nb = np.linalg.norm(b)
         if nb > 0:
             res = np.linalg.norm(self.matrix @ x - b) / nb
             if not np.isfinite(res) or res > 1e-8:
@@ -70,7 +75,10 @@ def factor(K: sp.csr_matrix) -> Factorization:
     for SymmetricMode; off-diagonal pivots of an SPD matrix only add fill.
     SuperLU takes CSC; the CSR arrays of K are the CSC arrays of K^T, so K^T is
     factored without a copy and ``solve`` applies it transposed.  That keeps
-    every solve exact for K, which is symmetric only to rounding.
+    every solve exact for K, which is symmetric only to rounding.  A step
+    matrix (``AssembledSystem.combine``) shares its index arrays with the
+    system's A: the factorization keeps K and reads them, and neither may
+    ever be changed in place.
     """
     K = K.tocsr()
     # splu sums duplicates in place in the arrays it is given, which are K's;

@@ -63,6 +63,8 @@ class StepOperator:
 
     Holds the form's row of the coefficient table in the module docstring
     and the factorization of its step matrix K, so the two cannot disagree.
+    K is built by ``AssembledSystem.combine``: a new data vector on the
+    index arrays of the system's A, which must never be changed in place.
     """
 
     system: AssembledSystem
@@ -90,7 +92,7 @@ class StepOperator:
             rate = 2 * taus * phis / (2 * taus + dt)
             gamma = material.phi0 + rate.sum()
             u_weight, sign = gamma / 2.0 - rate.sum(), -1.0
-        K = factor((2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J)
+        K = factor(system.combine(2.0 / dt**2, gamma / 2.0, 1.0 / dt))
         return cls(system, scheme, dt, a, rate, gamma, u_weight, sign, K)
 
 

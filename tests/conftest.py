@@ -1,4 +1,5 @@
 import dataclasses
+import resource
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    terminalreporter.write_line(f"peak RSS of the test session: {peak_mb:,.0f} MB (ru_maxrss)")
 
 
 def apply_elastic(m: PronyMaterial, eps: np.ndarray) -> np.ndarray:

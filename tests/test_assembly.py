@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import average_jump, mesh_text, scrambled_mesh_input
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,8 +151,8 @@ def test_translation_penalty_energy(case):
 
 def test_penalty_scaling_linearity(case, small_setup):
     _, space, _ = small_setup
-    A1, J1 = assemble_sipg(space, case.material, 10.0, 1.0)
-    A2, J2 = assemble_sipg(space, case.material, 20.0, 1.0)
+    A1, J1, *_ = assemble_sipg(space, case.material, 10.0, 1.0)
+    A2, J2, *_ = assemble_sipg(space, case.material, 20.0, 1.0)
     assert abs((A2 - A1 - J1).toarray()).max() < 1e-12
     assert abs((J2 - 2.0 * J1).toarray()).max() < 1e-12
 
@@ -321,21 +323,51 @@ def test_sipg_identity_with_average_jump(case, small_setup, rng):
 
 def test_assembled_system_contents(case, small_setup):
     _, space, system = small_setup
-    # the schemes need the mass, the SIPG form and its penalty part, and the
-    # material and penalty that built them, nothing else
+    # the schemes need the mass, the SIPG form and its penalty part, where the
+    # entries of M and J sit in A, and the material and penalty that built
+    # them, nothing else
     fields = [f.name for f in dataclasses.fields(AssembledSystem)]
-    assert fields == ["M", "A", "J", "material", "alpha0", "beta0"]
+    assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0", "beta0"]
     assert (system.material, system.alpha0, system.beta0) == (case.material, 10.0, 1.0)
     assert system.M.shape == (space.total_dofs, space.total_dofs)
     # rho = 1 here, so M is the plain mass, bit for bit
     assert abs(system.M - assemble_mass(space, 1.0)).max() == 0.0
-    A, J = assemble_sipg(space, case.material, 10.0, 1.0)
+    A, J, M_slots, J_slots = assemble_sipg(space, case.material, 10.0, 1.0)
     assert abs(system.A - A).max() == 0.0
     assert abs(system.J - J).max() == 0.0
+    assert np.array_equal(system.M_slots, M_slots) and np.array_equal(system.J_slots, J_slots)
     rho2 = PronyMaterial(rho=2.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     sys2 = assemble_system(space, rho2, 10.0, 1.0)
     assert sys2.material is rho2
     assert abs((sys2.M - 2.0 * assemble_mass(space, 1.0)).toarray()).max() < 1e-14
+
+
+def test_step_matrix_allocates_one_data_vector(case):
+    # tracemalloc sees numpy's buffers: building a step matrix keeps its data
+    # vector and nothing else, and never holds more than two such vectors
+    space = DGSpace.build(build_structured_mesh(16), 2)
+    system = assemble_system(space, case.material)
+    coefficients = (2.0 * 8**2, 0.45, 8.0)
+    system.combine(*coefficients)  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        K = system.combine(*coefficients)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * K.data.nbytes
+    assert retained <= 1.01 * K.data.nbytes
+
+
+def test_combine_needs_a_canonical_pattern(case):
+    # a step matrix shares A's index arrays, and factor sorts a non-canonical
+    # matrix in place: that would reorder A's indices under its data
+    one = sp.csr_matrix(np.eye(2))
+    unsorted = sp.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 2, 2])), (2, 2))
+    slots = np.array([1, 2])
+    system = AssembledSystem(one, unsorted, one, slots, slots, case.material, 10.0, 1.0)
+    with pytest.raises(ValueError, match="canonical"):
+        system.combine(1.0, 1.0, 1.0)
 
 
 def test_edge_split_covers_all(small_setup):

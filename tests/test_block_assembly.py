@@ -22,6 +22,11 @@ def _material(rng, isotropic):
     return PronyMaterial(rng.uniform(0.5, 2.0), 0.5, (0.1, 0.4), (0.5, 1.5), elastic=elastic)
 
 
+def _rows(m):
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
 def _stored(m):
     s = m.tocsr(copy=True)
     s.data[:] = 1.0
@@ -61,7 +66,17 @@ def test_block_assembly_matches_reference(case, k, n, isotropic, seed):
         only = _stored(new) ^ _stored(old)
         assert np.abs(new.toarray()[only]).max(initial=0.0) <= 1e-15 * scale, name
         assert np.abs(old.toarray()[only]).max(initial=0.0) <= 1e-15 * scale, name
-        assert np.all(new.data != 0), name  # explicit zeros are dropped
+        if name != "A":
+            assert np.all(new.data != 0), name  # explicit zeros are dropped
+
+    # A's pattern holds M's and J's: every entry of each has a slot in A at its
+    # row and column, and A stores a zero only where one of them has an entry
+    A = system.A
+    for name, part, slots in (("M", system.M, system.M_slots), ("J", system.J, system.J_slots)):
+        assert np.array_equal(A.indices[slots], part.indices), name
+        assert np.array_equal(_rows(A)[slots], _rows(part)), name
+    shared = np.union1d(system.M_slots, system.J_slots)
+    assert np.all(np.isin(np.flatnonzero(A.data == 0), shared))
 
     vectors = {
         "load": LoadAssembler(space).assemble(f=f, g_N=g_N),

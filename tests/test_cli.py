@@ -112,9 +112,16 @@ def _valid_configs(draw):
     dt = st.integers(1, 4096).map(lambda m: span / m)
     if whole or study == "stability":
         dt = st.none() | dt
-    # one dt outside tconv, one n in tconv, one of each in stability
+    # one dt outside tconv, one n in tconv, one of each in stability; each
+    # run refines the last: ns strictly increase, tconv's dts strictly decrease
     max_ns = 1 if study in ("tconv", "stability") else 4
     max_dts = 4 if study == "tconv" else 1
+    ns = sorted(draw(st.lists(st.integers(1, 256), min_size=1, max_size=max_ns, unique=True)))
+
+    def resolved(dt):
+        return 1.0 / ns[0] if dt is None else dt
+
+    dts = draw(st.lists(dt, min_size=1, max_size=max_dts, unique_by=resolved))
     phis = draw(st.lists(_floats(0.01, 0.3), min_size=1, max_size=3))
     out = st.text("abcXYZ019._-/", min_size=1, max_size=12)
     # a stability study writes no CSV
@@ -123,8 +130,8 @@ def _valid_configs(draw):
         study=study,
         scheme=draw(st.sampled_from(_SCHEMES)),
         k=draw(st.integers(1, 5)),
-        ns=draw(st.lists(st.integers(1, 256), min_size=1, max_size=max_ns)),
-        dts=draw(st.lists(dt, min_size=1, max_size=max_dts)),
+        ns=ns,
+        dts=sorted(dts, key=resolved, reverse=True),
         T=T,
         alpha0=draw(_floats(1e-3, 1e3)),
         beta0=draw(_floats(1.0, 4.0)),
@@ -316,6 +323,10 @@ _REJECTED = [
     ("--study stability --k 1 --n 2,4 --dt h", "a stability study takes one n"),
     # a stability study would write nothing to it
     ("--study stability --k 1 --n 2 --dt 1/4 --out x.csv", "a stability study writes no CSV"),
+    # the rate table of a study needs each run to refine the last
+    ("--study hconv --k 1 --n 4,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),
+    ("--study hconv --k 1 --n 2,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),
+    ("--study tconv --k 1 --n 2 --dt 1/8,1/4 --T 0.25", "time steps must strictly decrease"),
 ]
 
 

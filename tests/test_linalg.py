@@ -47,6 +47,17 @@ def test_zero_rhs(rng):
     assert np.allclose(x, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_is_rejected(rng, bad):
+    # NaN used to skip the residual guard (nan > tol is False) and come back
+    # as a NaN solution; inf failed the guard as "matrix may not be SPD"
+    F = factor(_random_spd(8, rng))
+    b = rng.standard_normal(8)
+    b[[3, 6]] = bad
+    with pytest.raises(ValueError, match=f"right-hand side entry 3 is {bad}, not finite"):
+        F.solve(b)
+
+
 def test_singular_matrix_raises():
     K = sp.csr_matrix(np.zeros((4, 4)))
     with pytest.raises(SolverError):

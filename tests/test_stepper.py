@@ -38,8 +38,17 @@ _STEPS = ((Scheme.DISPLACEMENT, step_displacement), (Scheme.VELOCITY, step_veloc
 def _scalar_system(material):
     """1-DOF oscillator u'' + u = f as a degenerate assembled system of ``material``."""
     one = sp.csr_matrix(np.array([[1.0]]))
-    zero = sp.csr_matrix(np.array([[0.0]]))
-    return AssembledSystem(M=one, A=one, J=zero, material=material, alpha0=10.0, beta0=1.0)
+    zero = sp.csr_matrix(np.array([[0.0]]))  # stores no entry
+    return AssembledSystem(
+        M=one,
+        A=one,
+        J=zero,
+        M_slots=np.array([0]),
+        J_slots=np.array([], dtype=int),
+        material=material,
+        alpha0=10.0,
+        beta0=1.0,
+    )
 
 
 @st.composite
@@ -105,13 +114,56 @@ def test_crank_nicolson_exact_for_quadratic():
         assert abs(state.W[0] - 4.0) < 1e-12
 
 
-def test_step_matrix_composition(case, small_setup):
-    _, space, system = small_setup
-    dt = 0.1
-    for scheme in Scheme:
+@settings(max_examples=20, deadline=None)
+@given(scheme=st.sampled_from(Scheme), dt=st.floats(1e-4, 10.0))
+def test_step_matrix_composition(small_setup, quadratic_setup, scheme, dt):
+    # K is a new data vector on A's index arrays, with the pattern of the sparse
+    # sum it replaces and its values bit for bit; at k=2 (quadratic_setup) A
+    # stores zeros where only J has an entry
+    for _, _, system in (small_setup, quadratic_setup):
         op = StepOperator.build(system, scheme, dt)
-        ref = (2.0 / dt**2) * system.M + (op.gamma / 2.0) * system.A + (1.0 / dt) * system.J
-        assert abs((op.K.matrix - ref).toarray()).max() < 1e-14
+        gamma, K = op.gamma, op.K.matrix
+        ref = (2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J
+        assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+        assert np.array_equal(K.data, ref.data)
+        assert K.indices is system.A.indices and K.indptr is system.A.indptr
+        assert not np.shares_memory(K.data, system.A.data)
+
+
+def test_factor_and_run_leave_the_shared_pattern_alone(case, quadratic_setup):
+    _, space, system = quadratic_setup
+    A = system.A
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    factor(system.combine(2.0 * 16**2, 0.45, 16.0)).solve(np.ones(space.total_dofs))
+    for scheme in Scheme:
+        run(
+            scheme,
+            space,
+            system,
+            case.material,
+            0.25,
+            0.125,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+            body_force=case.body_force_at,
+            traction=case.traction_at,
+        )
+    for array, old in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(array, old)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_rejects_a_non_finite_load(case, small_setup, bad):
+    # a NaN right-hand side used to pass the residual guard (nan > tol is
+    # False) and finish with NaN norms; inf failed as "matrix may not be SPD"
+    _, space, system = small_setup
+
+    def body_force(t):
+        return lambda x, y: (np.full_like(x, bad), np.zeros_like(x))
+
+    with pytest.raises(ValueError, match=f"right-hand side entry 0 is {bad}, not finite"):
+        run(Scheme.DISPLACEMENT, space, system, case.material, 0.25, 0.125, body_force=body_force)
 
 
 def test_step_scheme_mismatch_rejected():
