@@ -6,15 +6,18 @@ order [component, derivative]) is sigma_za = sum_cb D[z, a, c, b] g_cb.
 Dirichlet conditions are imposed weakly through the boundary edge terms
 (Nitsche style); Neumann edges contribute only to the load vector.
 
-DOFs are element-contiguous, so every matrix is made of nd x nd element
-blocks: one per triangle, on the diagonal, and two per interior edge, coupling
-its two triangles.  Local matrices are summed straight into one
-(n_blocks, nd, nd) array (J's, which act on each displacement component
-alone, as scalar blocks expanded once), which becomes a BSR matrix and then
-CSR with its explicit zeros dropped, except in A: A keeps a zero where J or
-M has an entry, so A's pattern holds both.  A step matrix
-c_M M + c_A A + c_J J (``AssembledSystem.combine``) is then one new data
-vector that shares A's index arrays.  On an affine triangle the element
+``assemble_system`` builds the three matrices of the schemes, the
+rho-weighted mass M, the SIPG form A and its penalty part J, in one pass over
+one block layout.  DOFs are element-contiguous, so every matrix is made of
+nd x nd element blocks: one per triangle, on the diagonal, and two per interior
+edge, coupling its two triangles.  The local matrices of A and J are summed
+straight into one (n_blocks, nd, nd) array each (J's, which act on each
+displacement component alone, as scalar blocks expanded once), which becomes a
+BSR matrix and then CSR.  M's blocks are rho det_t times the reference mass
+block, so its CSR arrays are written from that block's nonzeros (i, j), which
+also place M's entries in A: A keeps a zero where J or M has an entry.  A step
+matrix c_M M + c_A A + c_J J (``AssembledSystem.combine``) is then one new
+data vector that shares A's index arrays.  On an affine triangle the element
 stiffness is quadratic in the inverse Jacobian,
 K_t = det_t sum Jinv_ab Jinv_cd R[ab, cd],
 with R a (16, nd^2) reference tensor tabulated once from the reference
@@ -60,27 +63,6 @@ def _componentwise(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of diagonal blocks (nt, nd, nd), explicit zeros dropped."""
-    nt, nd = blocks.shape[:2]
-    mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
-    mat = mat.tocsr()
-    mat.eliminate_zeros()
-    return mat
-
-
-def _reference_mass(space: DGSpace) -> np.ndarray:
-    """Vector mass block (nd, nd) of the reference triangle; element t's is det_t times it."""
-    return _componentwise((space.ref_values.T * space.elem_weights) @ space.ref_values)
-
-
-def assemble_mass(space: DGSpace, weight: float = 1.0) -> sp.csr_matrix:
-    """Block-diagonal (weight * v, w) mass matrix."""
-    if not (math.isfinite(weight) and weight > 0):
-        raise ValueError(f"mass weight {weight} must be positive and finite")
-    return _block_diagonal(weight * space.det_jac[:, None, None] * _reference_mass(space))
-
-
 def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
     """Element strain-energy blocks (nt, nd, nd) from one reference tensor.
 
@@ -99,8 +81,13 @@ def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
 
 
 def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr_matrix:
-    """Element-wise strain energy form sum_E int D eps(v) : eps(w)."""
-    return _block_diagonal(_volume_blocks(space, material.elasticity))
+    """Element-wise strain energy form sum_E int D eps(v) : eps(w), explicit zeros dropped."""
+    nt, nd = space.mesh.n_triangles, space.dofs_per_element
+    blocks = _volume_blocks(space, material.elasticity)
+    mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
+    mat = mat.tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0, beta0):
@@ -145,14 +132,15 @@ def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alp
             yield r, s, consist, p
 
 
-def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0: float):
-    """Full SIPG matrix A, its jump-penalty part J, and where M's and J's entries sit in A.
+def assemble_system(
+    space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
+) -> "AssembledSystem":
+    """The rho-weighted mass M, the SIPG matrix A and its jump-penalty part J.
 
     A = volume strain energy - symmetrized consistency edge terms + J, with
     edge terms over interior and Dirichlet edges only.  A is stored on the
-    union of its own pattern, J's and that of the mass matrix (``assemble_mass``),
-    so it keeps an explicit zero where it cancels and J or M does not.  Returns
-    A, J and the index arrays ``M_slots``, ``J_slots`` of ``AssembledSystem``.
+    union of its own pattern, J's and M's, so it keeps an explicit zero where
+    it cancels and J or M does not.
     """
     if not (math.isfinite(alpha0) and alpha0 > 0):
         raise ValueError(f"penalty parameter alpha0={alpha0} must be positive and finite")
@@ -205,10 +193,13 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     del a_data
     in_J = J.data != 0
     J.eliminate_zeros()
-    # entry (i, j) of triangle t's diagonal block, the p-th block of its block
-    # row, is entry p nd + j of CSR row t nd + i
+    # M's pattern, read by M and M_slots alike: the nonzeros (i, j) of the
+    # reference mass block, entry (t nd + i, t nd + j) of M for each triangle t.
+    # Triangle t's diagonal block is the p-th block of its block row, so that
+    # entry is entry p nd + j of A's full-block CSR row t nd + i
+    m_ref = _componentwise((space.ref_values.T * space.elem_weights) @ space.ref_values)
+    i, j = np.nonzero(m_ref)
     start = A.indptr[:-1].reshape(nt, nd) + nd * (diag - indptr[:-1])[:, None]
-    i, j = np.nonzero(_reference_mass(space))
     in_M = np.zeros_like(in_J)
     in_M[start[:, i] + j] = True
     kept = A.data != 0
@@ -219,7 +210,16 @@ def assemble_sipg(space: DGSpace, material: PronyMaterial, alpha0: float, beta0:
     A = sp.csr_matrix(
         (A.data[kept], A.indices[kept], np.concatenate([[0], np.cumsum(counts)])), shape=(n, n)
     )
-    return A, J, M_slots, J_slots
+    row_counts = np.tile(np.bincount(i, minlength=nd), nt)
+    M = sp.csr_matrix(
+        (
+            ((material.rho * space.det_jac)[:, None] * m_ref[i, j]).ravel(),
+            (nd * np.arange(nt)[:, None] + j).ravel(),
+            np.concatenate([[0], np.cumsum(row_counts)]),
+        ),
+        shape=(n, n),
+    )
+    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0, beta0)
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
@@ -414,11 +414,3 @@ class AssembledSystem:
         K = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
         K.indices = A.indices  # the constructor keeps a view of A's array, not the array
         return K
-
-
-def assemble_system(
-    space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
-) -> AssembledSystem:
-    A, J, M_slots, J_slots = assemble_sipg(space, material, alpha0, beta0)
-    M = assemble_mass(space, material.rho)
-    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0, beta0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import assemble_system, assemble_volume_stiffness
-from .errors import convergence_rate, error_norms
+from .errors import NORM_NAMES, convergence_rate, error_norms
 from .linalg import SolverError
 from .manufactured import ManufacturedCase
 from .material import PronyMaterial
@@ -23,7 +23,7 @@ from .mesh import build_structured_mesh
 from .space import DGSpace
 from .stepper import Scheme, run, step_count
 
-CSV_HEADER = "scheme,k,n,h,dt,err_u_L2,err_u_H1,err_u_energy,err_w_L2,err_w_H1,err_w_energy"
+CSV_HEADER = "scheme,k,n,h,dt," + ",".join(f"err_{name}" for name in NORM_NAMES)
 
 _STUDIES = ("single", "hconv", "tconv", "penalty", "stability")
 _SCHEMES = ("displacement", "velocity", "both")
@@ -42,7 +42,7 @@ class StudyConfig:
     k: int = 1
     ns: list[int] = field(default_factory=lambda: [4])
     dts: list[float | None] = field(default_factory=lambda: [0.25])
-    T: float = 1.0
+    T: float | None = None  # final time, 1 if unset; a stability study sets none
     alpha0: float = 10.0
     beta0: float = 1.0
     rho: float = 1.0
@@ -62,7 +62,7 @@ class StudyConfig:
             raise ConfigError("alpha0 must be positive")
         if self.beta0 < 1:
             raise ConfigError("beta0 must be >= 1")
-        if not self.T > 0:
+        if self.T is not None and not self.T > 0:
             raise ConfigError("T must be positive")
         if any(n < 1 for n in self.ns):
             raise ConfigError("mesh subdivisions must be >= 1")
@@ -84,7 +84,7 @@ class StudyConfig:
         elif any(finer <= n for n, finer in zip(self.ns, self.ns[1:])):
             given = ", ".join(map(str, self.ns))
             raise ConfigError(f"mesh subdivisions must strictly increase, got n = {given}")
-        horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.T,)
+        horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.final_time(),)
         try:
             self.material()
             for T in horizons:
@@ -92,6 +92,9 @@ class StudyConfig:
                     step_count(T, dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.study == "stability" and self.T is not None:
+            horizons = " and ".join(f"T={T:g}" for T in _STABILITY_HORIZONS)
+            raise ConfigError(f"a stability study runs to {horizons}, so it takes no T")
 
     def runs(self) -> list[tuple[int, float]]:
         """The (n, dt) of every run of the study, with dt = h resolved to 1/n."""
@@ -100,6 +103,9 @@ class StudyConfig:
         else:  # dt = 1/n divides both stability horizons
             pairs = [(n, self.dts[0]) for n in self.ns]
         return [(n, 1.0 / n if dt is None else dt) for n, dt in pairs]
+
+    def final_time(self) -> float:
+        return 1.0 if self.T is None else self.T
 
     def material(self) -> PronyMaterial:
         return PronyMaterial(self.rho, self.phi0, self.phis, self.taus)
@@ -213,7 +219,7 @@ def _run_case(scheme: Scheme, space, system, T: float, dt: float, forced: bool, 
 def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
     """Solve one configuration and return its ErrorReport."""
     space, system = _discretization(cfg, n, cache)
-    case, state = _run_case(scheme, space, system, cfg.T, dt, forced=True)
+    case, state = _run_case(scheme, space, system, cfg.final_time(), dt, forced=True)
     return error_norms(state, case, space, system, dt=dt)
 
 
@@ -222,21 +228,18 @@ def _csv_row(report, scheme: Scheme, k: int, n: int) -> str:
     return f"{scheme.value},{k},{n},{report.h:.6e},{report.dt:.6e},{vals}"
 
 
-_NORM_NAMES = ("u_L2", "u_H1", "u_energy", "w_L2", "w_H1", "w_energy")
-
-
 def _rate_table(rows_by_scheme: dict, scales: list[float], out) -> None:
     for scheme, reports in rows_by_scheme.items():
         if len(reports) < 2:
             continue
         print(f"convergence rates ({scheme.value} form):", file=out)
-        header = "  ".join(f"{name:>9}" for name in _NORM_NAMES)
+        header = "  ".join(f"{name:>9}" for name in NORM_NAMES)
         print(f"  {'pair':>13}  {header}", file=out)
         errs = np.array([r.as_row() for r in reports])
         for i in range(1, len(reports)):
             rates = [
                 convergence_rate(errs[i - 1 : i + 1, j], scales[i - 1 : i + 1])[0]
-                for j in range(6)
+                for j in range(len(NORM_NAMES))
             ]
             label = f"{scales[i - 1]:.4g}->{scales[i]:.4g}"
             print(f"  {label:>13}  " + "  ".join(f"{r:9.2f}" for r in rates), file=out)

@@ -16,6 +16,10 @@ from .space import DGSpace
 from .stepper import State
 
 
+# the six error norms, in the order of ``ErrorReport.as_row`` and of the study output
+NORM_NAMES = ("u_L2", "u_H1", "u_energy", "w_L2", "w_H1", "w_energy")
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     err_u_L2: float
@@ -31,14 +35,7 @@ class ErrorReport:
     scheme: str
 
     def as_row(self):
-        return (
-            self.err_u_L2,
-            self.err_u_H1,
-            self.err_u_energy,
-            self.err_w_L2,
-            self.err_w_H1,
-            self.err_w_energy,
-        )
+        return tuple(getattr(self, f"err_{name}") for name in NORM_NAMES)
 
 
 def _field_error_norms(

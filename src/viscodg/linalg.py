@@ -31,12 +31,19 @@ class Factorization:
     _lu: spla.SuperLU
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve K x = b; a non-finite b raises ValueError, a large residual SolverError."""
-        nb = np.linalg.norm(b)
+        """Solve K x = b.
+
+        A non-finite b raises ValueError; a finite b whose norm overflows (a
+        run that has blown up) or a large residual raises SolverError.
+        """
+        with np.errstate(over="ignore"):
+            nb = np.linalg.norm(b)
         if not np.isfinite(nb):
             bad = np.flatnonzero(~np.isfinite(b))
             if len(bad):
                 raise ValueError(f"right-hand side entry {bad[0]} is {b.flat[bad[0]]}, not finite")
+            big = np.abs(b).max()
+            raise SolverError(f"right-hand side norm overflows (max |b| = {big:.3e}); the run blew up")
         # _lu factors the transpose of the matrix (see ``factor``)
         x = self._lu.solve(b, trans="T")
         if nb > 0:

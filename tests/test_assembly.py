@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import average_jump, mesh_text, scrambled_mesh_input
+from conftest import average_jump, block_diagonal_mass, mesh_text, scrambled_mesh_input
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +13,6 @@ from viscodg.assembly import (
     LoadAssembler,
     SeparableField,
     assemble_elliptic_rhs,
-    assemble_mass,
-    assemble_sipg,
     assemble_system,
     assemble_volume_stiffness,
     grad_array,
@@ -26,21 +24,35 @@ from viscodg.mesh import EdgeTag, build_structured_mesh, read_mesh
 from viscodg.space import DGSpace
 
 
-def test_mass_rejects_nonpositive_weight(small_setup):
-    _, space, _ = small_setup
-    with pytest.raises(ValueError):
-        assemble_mass(space, 0.0)
-    # NaN fails every comparison, so a bare `weight <= 0` would let it through
-    for weight in (-1.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match=f"weight {weight}"):
-            assemble_mass(space, weight)
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    n=st.integers(1, 4),
+    rho=st.floats(0.1, 10.0),
+    scrambled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mass_matches_block_diagonal_oracle(k, n, rho, scrambled, seed):
+    # M's CSR arrays, written from the nonzeros of the reference mass block,
+    # are those of the block-diagonal BSR conversion, bit for bit
+    rng = np.random.default_rng(seed)
+    if scrambled:
+        mesh = read_mesh(mesh_text(*scrambled_mesh_input(n, rng)))
+    else:
+        mesh = build_structured_mesh(n)
+    space = DGSpace.build(mesh, k)
+    M = assemble_system(space, PronyMaterial(rho, 0.5, (0.1, 0.4), (0.5, 1.5))).M
+    ref = block_diagonal_mass(space, rho)
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(M, part), getattr(ref, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want), part
 
 
 def test_p1_mass_block(small_setup):
     # reference P1 consistent mass on a triangle of area |E|:
-    # |E|/12 * [[2,1,1],[1,2,1],[1,1,2]] per component
-    _, space, _ = small_setup
-    M = assemble_mass(space).toarray()
+    # |E|/12 * [[2,1,1],[1,2,1],[1,1,2]] per component (rho = 1 here)
+    _, space, system = small_setup
+    M = system.M.toarray()
     area = 0.125
     ref = area / 12.0 * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     nd = space.dofs_per_element
@@ -52,19 +64,11 @@ def test_p1_mass_block(small_setup):
         assert np.allclose(block[:3, 3:], 0.0)
 
 
-def test_mass_density_weight(small_setup):
-    _, space, _ = small_setup
-    M1 = assemble_mass(space, 1.0)
-    M3 = assemble_mass(space, 3.0)
-    assert abs((M3 - 3.0 * M1).toarray()).max() < 1e-14
-
-
 def test_mass_integrates_constant(small_setup):
-    # v = w = (1, 1): v' M w = int (1 + 1) = 2
-    _, space, _ = small_setup
-    M = assemble_mass(space)
+    # v = w = (1, 1): v' M w = rho int (1 + 1) = 2 at rho = 1
+    _, space, system = small_setup
     ones = space.interpolate(lambda x, y: (np.ones_like(x), np.ones_like(x)))
-    assert abs(ones @ (M @ ones) - 2.0) < 1e-13
+    assert abs(ones @ (system.M @ ones) - 2.0) < 1e-13
 
 
 def test_volume_stiffness_energy(case, small_setup):
@@ -88,9 +92,9 @@ def test_volume_stiffness_energy(case, small_setup):
 def test_sipg_parameter_validation(case, small_setup):
     _, space, _ = small_setup
     with pytest.raises(ValueError):
-        assemble_sipg(space, case.material, 0.0, 1.0)
+        assemble_system(space, case.material, 0.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_sipg(space, case.material, 10.0, 0.5)
+        assemble_system(space, case.material, 10.0, 0.5)
     # non-finite values, which a range check alone lets through (NaN fails every comparison)
     for alpha0, beta0, name in (
         (np.nan, 1.0, "alpha0=nan"),
@@ -99,7 +103,7 @@ def test_sipg_parameter_validation(case, small_setup):
         (10.0, np.inf, "beta0=inf"),
     ):
         with pytest.raises(ValueError, match=name):
-            assemble_sipg(space, case.material, alpha0, beta0)
+            assemble_system(space, case.material, alpha0, beta0)
 
 
 def test_sipg_symmetry_and_definiteness(small_setup, quadratic_setup):
@@ -151,10 +155,10 @@ def test_translation_penalty_energy(case):
 
 def test_penalty_scaling_linearity(case, small_setup):
     _, space, _ = small_setup
-    A1, J1, *_ = assemble_sipg(space, case.material, 10.0, 1.0)
-    A2, J2, *_ = assemble_sipg(space, case.material, 20.0, 1.0)
-    assert abs((A2 - A1 - J1).toarray()).max() < 1e-12
-    assert abs((J2 - 2.0 * J1).toarray()).max() < 1e-12
+    s1 = assemble_system(space, case.material, 10.0, 1.0)
+    s2 = assemble_system(space, case.material, 20.0, 1.0)
+    assert abs((s2.A - s1.A - s1.J).toarray()).max() < 1e-12
+    assert abs((s2.J - 2.0 * s1.J).toarray()).max() < 1e-12
 
 
 def test_average_jump_continuous_field(case, small_setup):
@@ -330,16 +334,18 @@ def test_assembled_system_contents(case, small_setup):
     assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0", "beta0"]
     assert (system.material, system.alpha0, system.beta0) == (case.material, 10.0, 1.0)
     assert system.M.shape == (space.total_dofs, space.total_dofs)
-    # rho = 1 here, so M is the plain mass, bit for bit
-    assert abs(system.M - assemble_mass(space, 1.0)).max() == 0.0
-    A, J, M_slots, J_slots = assemble_sipg(space, case.material, 10.0, 1.0)
-    assert abs(system.A - A).max() == 0.0
-    assert abs(system.J - J).max() == 0.0
-    assert np.array_equal(system.M_slots, M_slots) and np.array_equal(system.J_slots, J_slots)
+    # assembling again gives the same matrices and slots, bit for bit
+    again = assemble_system(space, case.material, 10.0, 1.0)
+    for name in ("M", "A", "J"):
+        assert abs(getattr(system, name) - getattr(again, name)).max() == 0.0, name
+    assert np.array_equal(system.M_slots, again.M_slots)
+    assert np.array_equal(system.J_slots, again.J_slots)
+    # rho scales M alone
     rho2 = PronyMaterial(rho=2.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     sys2 = assemble_system(space, rho2, 10.0, 1.0)
     assert sys2.material is rho2
-    assert abs((sys2.M - 2.0 * assemble_mass(space, 1.0)).toarray()).max() < 1e-14
+    assert abs((sys2.M - 2.0 * system.M).toarray()).max() < 1e-14
+    assert abs(sys2.A - system.A).max() == 0.0 and abs(sys2.J - system.J).max() == 0.0
 
 
 def test_step_matrix_allocates_one_data_vector(case):

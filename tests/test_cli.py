@@ -107,8 +107,10 @@ def _valid_configs(draw):
     # dt = h (None) divides T for every n only when T is a whole number
     whole = draw(st.booleans())
     T = float(draw(st.integers(1, 10))) if whole else draw(_floats(0.01, 10.0))
-    # a stability study runs to T = 5 and T = 10 whatever T is
-    span = 5.0 if study == "stability" else T
+    # a stability study takes no T: it runs to T = 5 and T = 10
+    if study == "stability":
+        T = None
+    span = 5.0 if T is None else T
     dt = st.integers(1, 4096).map(lambda m: span / m)
     if whole or study == "stability":
         dt = st.none() | dt
@@ -323,6 +325,8 @@ _REJECTED = [
     ("--study stability --k 1 --n 2,4 --dt h", "a stability study takes one n"),
     # a stability study would write nothing to it
     ("--study stability --k 1 --n 2 --dt 1/4 --out x.csv", "a stability study writes no CSV"),
+    # nor run to it
+    ("--study stability --k 1 --n 2 --dt 1/4 --T 3", "a stability study runs to T=5 and T=10"),
     # the rate table of a study needs each run to refine the last
     ("--study hconv --k 1 --n 4,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),
     ("--study hconv --k 1 --n 2,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),

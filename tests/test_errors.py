@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from conftest import space_with_quadrature
 
-from viscodg.errors import convergence_rate, error_norms
+from viscodg.errors import NORM_NAMES, convergence_rate, error_norms
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.stepper import Scheme, State
@@ -58,6 +59,10 @@ def test_interpolant_has_zero_error(small_setup):
     assert rep.dt == 0.25
     assert rep.degree == 1
     assert rep.scheme == "displacement"
+    # the row is the six norm fields, in the order of the fields and of NORM_NAMES
+    fields = [f.name for f in dataclasses.fields(rep)][:6]
+    assert fields == [f"err_{name}" for name in NORM_NAMES]
+    assert rep.as_row() == tuple(getattr(rep, name) for name in fields)
     assert abs(rep.h - np.sqrt(2.0) / 2) < 1e-14
 
 

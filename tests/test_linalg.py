@@ -58,6 +58,14 @@ def test_non_finite_rhs_is_rejected(rng, bad):
         F.solve(b)
 
 
+def test_overflowing_rhs_norm_is_a_solver_error():
+    # every entry is finite, but the sum of their squares overflows: the
+    # residual guard would divide inf by inf and blame the matrix
+    F = factor(sp.identity(4, format="csr"))
+    with pytest.raises(SolverError, match="right-hand side norm overflows"):
+        F.solve(np.full(4, 1e200))
+
+
 def test_singular_matrix_raises():
     K = sp.csr_matrix(np.zeros((4, 4)))
     with pytest.raises(SolverError):

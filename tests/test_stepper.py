@@ -5,14 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import block_step_oracle, internal_kernel_constant_history
+from conftest import block_diagonal_mass, block_step_oracle, internal_kernel_constant_history
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscodg.assembly import (
     AssembledSystem,
     LoadAssembler,
-    assemble_mass,
     assemble_system,
     assemble_volume_stiffness,
 )
@@ -235,7 +234,7 @@ def test_velocity_projection_is_the_plain_l2_projection(case, rho, k):
     system = assemble_system(space, material)
     w0 = case.velocity_at(0.0)
     W = initialize(system, space, None, None, w0, Scheme.VELOCITY).W
-    ref = factor(assemble_mass(space, 1.0)).solve(LoadAssembler(space).assemble(f=w0))
+    ref = factor(block_diagonal_mass(space, 1.0)).solve(LoadAssembler(space).assemble(f=w0))
     assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
