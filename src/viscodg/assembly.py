@@ -90,12 +90,12 @@ def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr
     return mat
 
 
-def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0, beta0):
+def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0: float):
     """Consistency and penalty blocks of the edges ``ids``, all of one arity.
 
     Yields (test side r, trial side s >= r, consistency, penalty): the blocks
     (ne, nd, nd) of -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n],
-    and the scalar blocks (ne, nb, nb) of alpha0 / |e|^beta0 int [v] . [w],
+    and the scalar blocks (ne, nb, nb) of alpha0 / |e| int [v] . [w],
     which act on each displacement component alone; those of (s, r) are
     their transposes.
     """
@@ -104,7 +104,7 @@ def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alp
     ne = len(ids)
     length = edges.length[ids]
     wl = space.edge_weights[None, :] * length[:, None]  # (ne, nqe)
-    pen = alpha0 / length**beta0
+    pen = alpha0 / length
     # normal-contracted tensor: traction_z of the gradient e_c (x) e_b, as [e, b, (z, c)]
     Dn = (edges.normal[ids] @ D.transpose(1, 3, 0, 2).reshape(2, 8)).reshape(ne, 2, 4)
     signs = (1.0, -1.0)[:arity]
@@ -133,24 +133,22 @@ def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alp
 
 
 def assemble_system(
-    space: DGSpace, material: PronyMaterial, alpha0: float = 10.0, beta0: float = 1.0
+    space: DGSpace, material: PronyMaterial, alpha0: float = 10.0
 ) -> "AssembledSystem":
     """The rho-weighted mass M, the SIPG matrix A and its jump-penalty part J.
 
     A = volume strain energy - symmetrized consistency edge terms + J, with
-    edge terms over interior and Dirichlet edges only.  A is stored on the
-    union of its own pattern, J's and M's, so it keeps an explicit zero where
-    it cancels and J or M does not.
+    edge terms over interior and Dirichlet edges only, and J the jump penalty
+    of weight alpha0 / |e|.  A is stored on the union of its own pattern, J's
+    and M's, so it keeps an explicit zero where it cancels and J or M does not.
     """
-    if not (math.isfinite(alpha0) and alpha0 > 0):
-        raise ValueError(f"penalty parameter alpha0={alpha0} must be positive and finite")
-    if not (math.isfinite(beta0) and beta0 >= 1):
-        raise ValueError(f"penalty exponent beta0={beta0} must be finite and >= 1 in 2D")
     D = material.elasticity
     nt, nd = space.mesh.n_triangles, space.dofs_per_element
     edges = space.mesh.edges
     interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
     dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
+    if not 0 < float(alpha0) / float(edges.length[edges.tag != EdgeTag.NEUMANN].min()) < math.inf:
+        raise ValueError(f"alpha0={alpha0} must be positive with a finite penalty weight alpha0/|e|")
 
     # block (row, col) list: the diagonal, then (i, j) and (j, i) per interior edge;
     # slot[b] is where block b sits in the row-sorted BSR data
@@ -168,7 +166,7 @@ def assemble_system(
     penalties = np.zeros((len(slot), nd // 2, nd // 2))  # J's blocks, per component
     a_data[diag] = _volume_blocks(space, D)
     for ids, arity in ((interior, 2), (dirichlet, 1)):
-        for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0, beta0):
+        for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0):
             if r == s:
                 # a triangle is side r of several edges: sum by an incidence product
                 elems = edges.elems[ids, r]
@@ -219,7 +217,7 @@ def assemble_system(
         ),
         shape=(n, n),
     )
-    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0, beta0)
+    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0)
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
@@ -327,10 +325,10 @@ def assemble_elliptic_rhs(space: DGSpace, system: "AssembledSystem", u0, grad_u0
     ``u0(x, y) -> (ux, uy)`` and ``grad_u0(x, y)`` nested as
     [component][derivative], as ``grad_array`` reads it.  Interior jumps of
     u0 vanish, so only the average-stress edge term survives there; Dirichlet
-    edges also carry the symmetrizing and penalty terms in u0's trace.  D,
-    alpha0 and beta0 are those the system was assembled with.
+    edges also carry the symmetrizing and penalty terms in u0's trace.  D and
+    alpha0 are those the system was assembled with.
     """
-    D, alpha0, beta0 = system.material.elasticity, system.alpha0, system.beta0
+    D, alpha0 = system.material.elasticity, system.alpha0
     nt, nb = space.mesh.n_triangles, space.dofs_per_component
     n = space.total_dofs
 
@@ -357,9 +355,9 @@ def assemble_elliptic_rhs(space: DGSpace, system: "AssembledSystem", u0, grad_u0
                 integrand = -(stress(D, grad_array(grad_u0, x)) @ normal[:, None, :, None])[..., 0]
             if ids is dirichlet:
                 # terms in the trace of u0 itself:
-                # alpha0/|e|^beta0 int u0 . phi - int D eps(phi) : (u0 (x) n)
+                # alpha0/|e| int u0 . phi - int D eps(phi) : (u0 (x) n)
                 u = np.stack(np.broadcast_arrays(*u0(x[..., 0], x[..., 1])), axis=-1)
-                integrand += (alpha0 / length**beta0)[:, None, None] * u
+                integrand += (alpha0 / length)[:, None, None] * u
                 un = stress(D, u[..., :, None] * normal[:, None, None, :]) * wl[..., None]
                 un = np.swapaxes(un, 1, 2).reshape(len(ids), 2, -1)  # [e, c, (q, b)]
                 loc -= un @ np.swapaxes(grads, 2, 3).reshape(len(ids), -1, nb)  # [(q, b), j]
@@ -395,8 +393,7 @@ class AssembledSystem:
     M_slots: np.ndarray
     J_slots: np.ndarray
     material: PronyMaterial
-    alpha0: float
-    beta0: float
+    alpha0: float  # the jump penalty weighs alpha0 / |e|
 
     def combine(self, c_M: float, c_A: float, c_J: float) -> sp.csr_matrix:
         """c_M M + c_A A + c_J J as a CSR matrix that shares A's index arrays.

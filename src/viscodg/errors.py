@@ -73,7 +73,7 @@ def _field_error_norms(
             ex_b, ey_b = exact(x[..., 0], x[..., 1])
             jump += np.stack(np.broadcast_arrays(ex_b, ey_b), axis=-1)
         length = edges.length[ids]
-        pen = system.alpha0 / length**system.beta0
+        pen = system.alpha0 / length
         energy_sq += float(np.sum(jump * jump, axis=-1) @ space.edge_weights @ (length * pen))
 
     return np.sqrt(l2_sq), np.sqrt(h1_sq), np.sqrt(energy_sq)

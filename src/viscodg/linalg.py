@@ -34,7 +34,7 @@ class Factorization:
         """Solve K x = b.
 
         A non-finite b raises ValueError; a finite b whose norm overflows (a
-        run that has blown up) or a large residual raises SolverError.
+        run that has blown up) or a large or overflowing residual raises SolverError.
         """
         with np.errstate(over="ignore"):
             nb = np.linalg.norm(b)
@@ -47,7 +47,11 @@ class Factorization:
         # _lu factors the transpose of the matrix (see ``factor``)
         x = self._lu.solve(b, trans="T")
         if nb > 0:
-            res = np.linalg.norm(self.matrix @ x - b) / nb
+            with np.errstate(over="ignore"):
+                r = self.matrix @ x - b
+                res = np.linalg.norm(r) / nb
+            if np.isinf(res) and np.isfinite(r).all():
+                raise SolverError(f"residual norm overflows (max |Kx - b| = {np.abs(r).max():.3e})")
             if not np.isfinite(res) or res > 1e-8:
                 raise SolverError(f"solve residual {res:.3e} exceeds tolerance; matrix may not be SPD")
         return x

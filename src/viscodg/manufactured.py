@@ -40,8 +40,12 @@ class ManufacturedCase:
 
     @staticmethod
     def _kernel_exp(t, tau):
-        """(1/tau) int_0^t exp(-(t-s)/tau) exp(1-s) ds, closed form (tau != 1)."""
-        return np.e / (1.0 - tau) * (np.exp(-t) - np.exp(-t / tau))
+        """(1/tau) int_0^t exp(-(t-s)/tau) exp(1-s) ds, closed form."""
+        if abs(1.0 - tau) >= 0.2:
+            return np.e / (1.0 - tau) * (np.exp(-t) - np.exp(-t / tau))
+        # the difference cancels (error ~ e eps / |1 - tau|): factor out exp(-t); t at tau = 1
+        x = (1.0 - tau) / tau
+        return np.e / tau * np.exp(-t) * (-np.expm1(-x * t) / x if x else t)
 
     @staticmethod
     def _kernel_cos(t, tau):

@@ -162,15 +162,17 @@ def step_velocity(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
 
 
 def _check_time_step(dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"time step dt={dt} must be positive and finite")
+    # K weighs M by 2/dt^2 and J by 1/dt: dt^2 must neither overflow nor underflow to 0
+    square = float(dt) * float(dt)
+    if not (dt > 0 and 0 < square < math.inf and 2.0 / square < math.inf):
+        raise ValueError(f"time step dt={dt} must be positive with 2/dt^2 finite and nonzero")
 
 
 def step_count(T: float, dt: float) -> int:
     """The number of steps T/dt, for a finite T >= 0 that is an integral multiple of dt > 0."""
     _check_time_step(dt)
-    if not math.isfinite(T):
-        raise ValueError(f"final time T={T} must be finite")
+    if not math.isfinite(float(T) / float(dt)):
+        raise ValueError(f"final time T={T} over dt={dt} must be finite")
     if T < 0:
         raise ValueError(f"final time T={T} is negative")
     n_steps = round(T / dt)

@@ -364,7 +364,7 @@ def _triplets(n, rows, cols, values):
     return sp.coo_matrix((np.concatenate(values), ij), shape=(n, n)).tocsr()
 
 
-def _reference_edge_triplets(space, C, ids, arity, alpha0, beta0):
+def _reference_edge_triplets(space, C, ids, arity, alpha0):
     """Consistency and penalty triplets (rows, cols, kc, kp) of edges of one arity."""
     nd = space.dofs_per_element
     wq = space.edge_weights
@@ -377,7 +377,7 @@ def _reference_edge_triplets(space, C, ids, arity, alpha0, beta0):
         traces.append(_trace_values(vals))
         tractions.append(_voigt_traction(_strain_voigt_basis(grads) @ C.T, normal[:, None, None, :]))
         dofs.append(edges.elems[ids, side][:, None] * nd + np.arange(nd)[None, :])
-    pen = alpha0 / length**beta0
+    pen = alpha0 / length
     rows, cols, consist, penalty = [], [], [], []
     for r in range(arity):
         for s in range(arity):
@@ -392,7 +392,7 @@ def _reference_edge_triplets(space, C, ids, arity, alpha0, beta0):
     return rows, cols, consist, penalty
 
 
-def reference_assembly(space, material, alpha0, beta0, f, g_N, u0, grad_u0):
+def reference_assembly(space, material, alpha0, f, g_N, u0, grad_u0):
     """Oracle for the block assembly: dict of the SIPG matrices "A", "J",
     "A_vol", the rho-weighted mass "M", the load vector "load" of (f, g_N)
     and the elliptic right-hand side "rhs" of (u0, grad_u0), all assembled
@@ -422,7 +422,7 @@ def reference_assembly(space, material, alpha0, beta0, f, g_N, u0, grad_u0):
 
     rows, cols, consist, penalty = [], [], [], []
     for ids, arity in ((interior, 2), (dirichlet, 1)):
-        r, c, kc, kp = _reference_edge_triplets(space, C, ids, arity, alpha0, beta0)
+        r, c, kc, kp = _reference_edge_triplets(space, C, ids, arity, alpha0)
         rows += r
         cols += c
         consist += kc
@@ -462,7 +462,7 @@ def reference_assembly(space, material, alpha0, beta0, f, g_N, u0, grad_u0):
     uvals = np.stack(np.broadcast_arrays(ux, uy), axis=-1)
     tn_b = _voigt_traction(_strain_voigt_basis(grads) @ C.T, normal[:, None, None, :])
     loc = -np.einsum("eqaz,eqz,q,e->ea", tn_b, uvals, wq, length)
-    loc += np.einsum("eqz,eqaz,q,e->ea", uvals, _trace_values(vals), wq, length * alpha0 / length**beta0)
+    loc += np.einsum("eqz,eqaz,q,e->ea", uvals, _trace_values(vals), wq, length * alpha0 / length)
     dofs = edges.elems[dirichlet, 0][:, None] * nd + np.arange(nd)[None, :]
     np.add.at(rhs, dofs.ravel(), loc.ravel())
     out["rhs"] = rhs
@@ -479,7 +479,7 @@ def small_setup(case):
     """n=2, k=1 mesh/space/system shared by cheap tests."""
     mesh = build_structured_mesh(2)
     space = DGSpace.build(mesh, 1)
-    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    system = assemble_system(space, case.material, alpha0=10.0)
     return mesh, space, system
 
 
@@ -488,7 +488,7 @@ def quadratic_setup(case):
     """n=4, k=2 mesh/space/system for higher-order checks."""
     mesh = build_structured_mesh(4)
     space = DGSpace.build(mesh, 2)
-    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    system = assemble_system(space, case.material, alpha0=10.0)
     return mesh, space, system
 
 

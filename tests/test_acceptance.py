@@ -95,7 +95,7 @@ def spatial_runs(case):
     for k in (1, 2):
         for n in SPATIAL_NS:
             space = DGSpace.build(build_structured_mesh(n), k)
-            system = assemble_system(space, case.material, 10.0, 1.0)
+            system = assemble_system(space, case.material, 10.0)
             for scheme in Scheme:
                 out[scheme, k, n] = _solve_case(case, scheme, space, system, DT_FINE)
     return out
@@ -105,7 +105,7 @@ def spatial_runs(case):
 def temporal_runs(case):
     """Both schemes on the n=128, k=2 mesh with dt in {1/4, 1/8, 1/16}."""
     space = DGSpace.build(build_structured_mesh(128), 2)
-    system = assemble_system(space, case.material, 10.0, 1.0)
+    system = assemble_system(space, case.material, 10.0)
     out = {}
     for scheme in Scheme:
         for dt in (0.25, 0.125, 0.0625):
@@ -120,7 +120,7 @@ def dt_equals_h_runs(case):
     for k in (1, 2):
         for n in SPATIAL_NS:
             space = DGSpace.build(build_structured_mesh(n), k)
-            system = assemble_system(space, case.material, 10.0, 1.0)
+            system = assemble_system(space, case.material, 10.0)
             out[k, n] = _solve_case(case, Scheme.DISPLACEMENT, space, system, 1.0 / n)
     return out
 
@@ -198,7 +198,7 @@ def test_criterion_5_penalty_failure(case):
     for n in (2, 4, 8):
         space = DGSpace.build(build_structured_mesh(n), 1)
         try:
-            system = assemble_system(space, case.material, 0.1, 1.0)
+            system = assemble_system(space, case.material, 0.1)
             rep = _solve_case(case, Scheme.DISPLACEMENT, space, system, 1.0 / n)
             results.append(rep.err_u_L2)
         except SolverError:
@@ -236,7 +236,7 @@ def test_criterion_6_combined_rates(dt_equals_h_runs):
 
 def test_criterion_7_long_time_stability(case):
     space = DGSpace.build(build_structured_mesh(8), 1)
-    system = assemble_system(space, case.material, 10.0, 1.0)
+    system = assemble_system(space, case.material, 10.0)
     energy_matrix = assemble_volume_stiffness(space, case.material) + system.J
     details = []
     ok = True
@@ -379,7 +379,7 @@ def test_criterion_9_initial_data(case):
         en, l2 = [], []
         for n in ns:
             space = DGSpace.build(build_structured_mesh(n), k)
-            system = assemble_system(space, case.material, 10.0, 1.0)
+            system = assemble_system(space, case.material, 10.0)
             st = initialize(
                 system,
                 space,

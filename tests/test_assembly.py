@@ -92,18 +92,14 @@ def test_volume_stiffness_energy(case, small_setup):
 def test_sipg_parameter_validation(case, small_setup):
     _, space, _ = small_setup
     with pytest.raises(ValueError):
-        assemble_system(space, case.material, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        assemble_system(space, case.material, 10.0, 0.5)
+        assemble_system(space, case.material, 0.0)
     # non-finite values, which a range check alone lets through (NaN fails every comparison)
-    for alpha0, beta0, name in (
-        (np.nan, 1.0, "alpha0=nan"),
-        (np.inf, 1.0, "alpha0=inf"),
-        (10.0, np.nan, "beta0=nan"),
-        (10.0, np.inf, "beta0=inf"),
-    ):
+    for alpha0, name in ((np.nan, "alpha0=nan"), (np.inf, "alpha0=inf")):
         with pytest.raises(ValueError, match=name):
-            assemble_system(space, case.material, alpha0, beta0)
+            assemble_system(space, case.material, alpha0)
+    # a finite alpha0 whose weight alpha0/|e| overflows on the mesh's shortest edge
+    with pytest.raises(ValueError, match="penalty weight"):
+        assemble_system(space, case.material, 1e308)
 
 
 def test_sipg_symmetry_and_definiteness(small_setup, quadratic_setup):
@@ -133,7 +129,7 @@ def test_translation_penalty_energy(case):
     for n in (2, 4):
         mesh = build_structured_mesh(n)
         space = DGSpace.build(mesh, 1)
-        system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+        system = assemble_system(space, case.material, alpha0=10.0)
         v = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         n_dirichlet = np.sum(mesh.edges.tag == EdgeTag.DIRICHLET)
         assert n_dirichlet == 2 * n
@@ -155,8 +151,8 @@ def test_translation_penalty_energy(case):
 
 def test_penalty_scaling_linearity(case, small_setup):
     _, space, _ = small_setup
-    s1 = assemble_system(space, case.material, 10.0, 1.0)
-    s2 = assemble_system(space, case.material, 20.0, 1.0)
+    s1 = assemble_system(space, case.material, 10.0)
+    s2 = assemble_system(space, case.material, 20.0)
     assert abs((s2.A - s1.A - s1.J).toarray()).max() < 1e-12
     assert abs((s2.J - 2.0 * s1.J).toarray()).max() < 1e-12
 
@@ -273,7 +269,7 @@ def test_elliptic_rhs_reproduces_polynomials(case):
     mesh = build_structured_mesh(2)
     for k in (1, 2):
         space = DGSpace.build(mesh, k)
-        system = assemble_system(space, case.material, 10.0, 1.0)
+        system = assemble_system(space, case.material, 10.0)
 
         def u0(x, y):
             return x + 2 * y + 0.5 * x * y * (k - 1), 3 * x - y
@@ -331,18 +327,18 @@ def test_assembled_system_contents(case, small_setup):
     # entries of M and J sit in A, and the material and penalty that built
     # them, nothing else
     fields = [f.name for f in dataclasses.fields(AssembledSystem)]
-    assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0", "beta0"]
-    assert (system.material, system.alpha0, system.beta0) == (case.material, 10.0, 1.0)
+    assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0"]
+    assert (system.material, system.alpha0) == (case.material, 10.0)
     assert system.M.shape == (space.total_dofs, space.total_dofs)
     # assembling again gives the same matrices and slots, bit for bit
-    again = assemble_system(space, case.material, 10.0, 1.0)
+    again = assemble_system(space, case.material, 10.0)
     for name in ("M", "A", "J"):
         assert abs(getattr(system, name) - getattr(again, name)).max() == 0.0, name
     assert np.array_equal(system.M_slots, again.M_slots)
     assert np.array_equal(system.J_slots, again.J_slots)
     # rho scales M alone
     rho2 = PronyMaterial(rho=2.0, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
-    sys2 = assemble_system(space, rho2, 10.0, 1.0)
+    sys2 = assemble_system(space, rho2, 10.0)
     assert sys2.material is rho2
     assert abs((sys2.M - 2.0 * system.M).toarray()).max() < 1e-14
     assert abs(sys2.A - system.A).max() == 0.0 and abs(sys2.J - system.J).max() == 0.0
@@ -371,7 +367,7 @@ def test_combine_needs_a_canonical_pattern(case):
     one = sp.csr_matrix(np.eye(2))
     unsorted = sp.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 2, 2])), (2, 2))
     slots = np.array([1, 2])
-    system = AssembledSystem(one, unsorted, one, slots, slots, case.material, 10.0, 1.0)
+    system = AssembledSystem(one, unsorted, one, slots, slots, case.material, 10.0)
     with pytest.raises(ValueError, match="canonical"):
         system.combine(1.0, 1.0, 1.0)
 

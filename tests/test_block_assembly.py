@@ -48,10 +48,10 @@ def test_block_assembly_matches_reference(case, k, n, isotropic, seed):
     space = DGSpace.build(read_mesh(mesh_text(*scrambled_mesh_input(n, rng))), k)
     material = _material(rng, isotropic)
     alpha0 = rng.uniform(5.0, 20.0)
-    system = assemble_system(space, material, alpha0, 1.0)
+    system = assemble_system(space, material, alpha0)
     f, g_N = case.body_force_at(0.3), case.traction_at(0.3)
     u0, grad_u0 = case.displacement_at(0.2), case.grad_displacement_at(0.2)
-    ref = reference_assembly(space, material, alpha0, 1.0, f, g_N, u0, grad_u0)
+    ref = reference_assembly(space, material, alpha0, f, g_N, u0, grad_u0)
 
     matrices = {
         "A": system.A,
@@ -97,7 +97,7 @@ def test_invariants_on_perturbed_meshes(k, n, seed):
     mesh = read_mesh(mesh_text(*scrambled_mesh_input(n, rng)))
     space = DGSpace.build(mesh, k)
     material = _material(rng, isotropic=True)
-    system = assemble_system(space, material, 10.0, 1.0)
+    system = assemble_system(space, material, 10.0)
     A_vol = assemble_volume_stiffness(space, material)
 
     # the two translations and the infinitesimal rotation carry no strain energy

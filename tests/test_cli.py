@@ -1,9 +1,10 @@
+import contextlib
 import dataclasses
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscodg.cli import (
@@ -38,7 +39,6 @@ def test_defaults():
     assert cfg.ns == [4]
     assert cfg.dts == [0.25]
     assert cfg.alpha0 == 10.0
-    assert cfg.beta0 == 1.0
     m = cfg.material()
     assert m.phis == (0.1, 0.4)
     assert m.taus == (0.5, 1.5)
@@ -51,7 +51,7 @@ def test_parse_full_config():
         study = hconv
         scheme = displacement
         k = 2
-        ns = 4, 8, 16
+        n = 4, 8, 16
         dt = 1/2048
         T = 1
         alpha0 = 12.5
@@ -72,6 +72,25 @@ def test_parse_dt_h_sentinel():
     assert cfg.dts == [None]
 
 
+def test_n_and_dt_keys_take_lists_like_their_flags():
+    cfg = parse_config("study = tconv\nn = 8\ndt = 1/2, 1/4, h")
+    assert (cfg.ns, cfg.dts) == ([8], [0.5, 0.25, None])
+    assert parse_config("study = hconv\nn = 2,4\ndt = 1/4").ns == [2, 4]
+
+
+@pytest.mark.parametrize("line", ["beta0 = 1", "ns = 2, 4", "dts = 1/4"])
+def test_removed_keys_are_rejected(line):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(line)
+
+
+def test_main_rejects_the_beta0_flag(capfd):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4", "--beta0", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --beta0" in capfd.readouterr().err
+
+
 def test_parse_material_override():
     cfg = parse_config("phi0 = 0.25\nphis = 0.5, 0.25\ntaus = 1, 2")
     m = cfg.material()
@@ -89,8 +108,9 @@ def _render(cfg: StudyConfig) -> str:
             return "h"  # the only None in a list is the dt = 1/n sentinel
         return repr(value) if isinstance(value, float) else str(value)
 
+    keys = {"ns": "n", "dts": "dt"}  # the two list fields
     return "\n".join(
-        f"{f.name} = {text(getattr(cfg, f.name))}"
+        f"{keys.get(f.name, f.name)} = {text(getattr(cfg, f.name))}"
         for f in dataclasses.fields(cfg)
         if getattr(cfg, f.name) is not None
     )
@@ -136,7 +156,6 @@ def _valid_configs(draw):
         dts=sorted(dts, key=resolved, reverse=True),
         T=T,
         alpha0=draw(_floats(1e-3, 1e3)),
-        beta0=draw(_floats(1.0, 4.0)),
         rho=draw(_floats(0.1, 10.0)),
         phi0=1.0 - sum(phis),
         phis=tuple(phis),
@@ -168,8 +187,8 @@ def test_parse_errors():
         parse_config("k = 0")
     with pytest.raises(ConfigError):
         parse_config("alpha0 = -1")
-    with pytest.raises(ConfigError):
-        parse_config("beta0 = 0.5")
+    with pytest.raises(ConfigError, match=r"alpha0=1e\+308 must be positive with a finite alpha0/\|e\|"):
+        parse_config("alpha0 = 1e308\nn = 2, 4")
     with pytest.raises(ConfigError):
         parse_config("dt = 0.3")  # T=1 not an integral multiple
     with pytest.raises(ConfigError):
@@ -370,3 +389,49 @@ def test_main_solver_failure_exit_code(capfd, monkeypatch):
 def test_main_missing_config_file(capfd):
     assert main(["--config", "/no/such/file.cfg"]) == 2
     capfd.readouterr()
+
+
+def _spread(lo_exp: int, hi_exp: int):
+    """Positive finite floats m 10^e, m in [1, 10), e in [lo_exp, hi_exp]."""
+    return st.builds(
+        lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(lo_exp, hi_exp)
+    )
+
+
+# the closed form of the manufactured exp kernel divides by 1 - tau
+_TAUS_NEAR_ONE = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-7, 1.0 + 1e-6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dt=_spread(-323, 307),
+    steps=st.integers(1, 3),
+    alpha0=_spread(-323, 307),
+    tau=_spread(-323, 307) | _TAUS_NEAR_ONE,
+    n=st.integers(1, 2),
+)
+# the step coefficients 2/dt^2 and 1/dt overflow, and underflow
+@example(dt=1e200, steps=1, alpha0=10.0, tau=1.5, n=2)
+@example(dt=1e-300, steps=1, alpha0=10.0, tau=1.5, n=2)
+# the penalty weight alpha0/|e| overflows, and the residual norm of a solve
+@example(dt=0.25, steps=1, alpha0=1e308, tau=1.5, n=2)
+@example(dt=0.25, steps=1, alpha0=1e300, tau=1.5, n=2)
+# the closed-form kernel divides by 1 - tau = 0
+@example(dt=0.25, steps=1, alpha0=10.0, tau=1.0, n=2)
+# finite coefficients whose products overflow in a run: 2 tau, (2/dt^2) U and c_J J
+@example(dt=0.25, steps=1, alpha0=10.0, tau=9.99e307, n=2)
+@example(dt=1.2e-154, steps=1, alpha0=10.0, tau=1.5, n=2)
+@example(dt=1e-150, steps=1, alpha0=1e160, tau=1.5, n=2)
+def test_main_ends_extreme_inputs_with_an_exit_code(tmp_path_factory, dt, steps, alpha0, tau, n):
+    # no traceback and no numpy warning (both fail the test): a run, a config
+    # error or a solver failure, each with at most one line on stderr
+    cfgfile = tmp_path_factory.mktemp("cfg") / "extreme.cfg"
+    cfgfile.write_text(f"phi0 = 0.5\nphis = 0.5\ntaus = {tau!r}\n")
+    args = ["--config", str(cfgfile), "--study", "single", "--k", "1", "--n", str(n)]
+    args += ["--dt", repr(dt), "--T", repr(steps * dt), "--alpha0", repr(alpha0)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(args)
+    assert rc in (0, 2, 3)
+    assert (rc == 0) == (err.getvalue() == ""), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -138,7 +138,7 @@ def test_quadrature_refinement_is_converged(case):
     reports = []
     for orders in ((None, None), (12, 13)):
         space = space_with_quadrature(mesh, 1, *orders)
-        system = assemble_system(space, case.material, 10.0, 1.0)
+        system = assemble_system(space, case.material, 10.0)
         st = initialize(
             system,
             space,

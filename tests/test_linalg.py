@@ -66,6 +66,15 @@ def test_overflowing_rhs_norm_is_a_solver_error():
         F.solve(np.full(4, 1e200))
 
 
+def test_overflowing_residual_norm_is_a_solver_error():
+    # a factorization of I checked against 1e300 I: the residual K x - b is
+    # finite, but the sum of its squares overflows
+    F = factor(sp.identity(4, format="csr"))
+    F.matrix = 1e300 * F.matrix
+    with pytest.raises(SolverError, match="residual norm overflows"):
+        F.solve(np.ones(4))
+
+
 def test_singular_matrix_raises():
     K = sp.csr_matrix(np.zeros((4, 4)))
     with pytest.raises(SolverError):
@@ -89,12 +98,12 @@ def test_element_order_cuts_fill(case):
     # element graph, with diagonal pivots, fills less than SuperLU's own
     # ordering of the DOF graph, which fills 1.29e6 for K and 6.96e6 for A here
     space = DGSpace.build(build_structured_mesh(16), 2)
-    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    system = assemble_system(space, case.material, alpha0=10.0)
     op = StepOperator.build(system, Scheme.DISPLACEMENT, 1.0 / 8)
     assert _lu_fill(op.K) <= 1.05e6
 
     space = DGSpace.build(build_structured_mesh(16), 3)
-    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    system = assemble_system(space, case.material, alpha0=10.0)
     F = factor(system.A)
     assert _lu_fill(F) <= 3.0e6
     b = np.random.default_rng(0).standard_normal(space.total_dofs)

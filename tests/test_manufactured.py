@@ -36,6 +36,18 @@ def test_rejects_non_identity_tensor():
         ManufacturedCase(m)
 
 
+@pytest.mark.parametrize("tau", [1.0, 1.0 + 1e-12, 1.0 - 1e-9, 0.85, 1.15])
+def test_internal_displacement_near_tau_one(tau):
+    # the closed form of the exp kernel divides by 1 - tau: at tau = 1 it
+    # takes its limit, and near 1 it must not lose digits to cancellation
+    case = ManufacturedCase(PronyMaterial(1.0, 0.5, (0.1, 0.4), (0.5, tau)))
+    for x, y in SAMPLE_POINTS:
+        for t in SAMPLE_TIMES:
+            got = case.internal_displacement(1, x, y, t)
+            ref = internal_displacement_oracle(case, 1, x, y, t)
+            assert np.allclose(got, ref, rtol=0, atol=1e-12), (x, y, t)
+
+
 def test_exact_field_values(case):
     u1, u2 = case.displacement(1.0, 1.0, 0.0)
     assert abs(u1 - np.e) < 1e-14

@@ -242,7 +242,7 @@ def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
 def _short_run_norms(mesh, case):
     """The six error norms after two steps of each form, k=1."""
     space = DGSpace.build(mesh, 1)
-    system = assemble_system(space, case.material, alpha0=10.0, beta0=1.0)
+    system = assemble_system(space, case.material, alpha0=10.0)
     norms = []
     for scheme in Scheme:
         state = run(

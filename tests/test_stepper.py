@@ -46,7 +46,6 @@ def _scalar_system(material):
         J_slots=np.array([], dtype=int),
         material=material,
         alpha0=10.0,
-        beta0=1.0,
     )
 
 
@@ -266,6 +265,12 @@ def test_run_rejects_negative_final_time(case, small_setup):
         (1.0, float("inf"), "dt=inf"),
         (float("nan"), 0.25, "T=nan"),
         (float("inf"), 0.25, "T=inf"),
+        # the step coefficient 2/dt^2 overflows, or dt^2 underflows to 0
+        (1e200, 1e200, r"dt=1e\+200 .* 2/dt\^2 finite"),
+        (1e-300, 1e-300, r"dt=1e-300 .* 2/dt\^2 finite"),
+        (1e-160, 1e-160, r"dt=1e-160 .* 2/dt\^2 finite"),
+        # so many steps that T/dt overflows
+        (1e300, 1e-150, r"T=1e\+300 over dt=1e-150 must be finite"),
     ],
 )
 def test_run_rejects_bad_time_inputs_up_front(case, small_setup, monkeypatch, T, dt, name):
