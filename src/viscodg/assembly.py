@@ -50,7 +50,7 @@ def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g.reshape(g.shape[:-2] + (4,)) @ D.reshape(4, 4).T).reshape(g.shape)
 
 
-def _sum_rows(P: sp.csr_matrix, blocks: np.ndarray) -> np.ndarray:
+def _incidence_sum(P: sp.csr_matrix, blocks: np.ndarray) -> np.ndarray:
     """Blocks (n, nd, nd) summed by a sparse (n, len(blocks)) incidence matrix."""
     return (P @ blocks.reshape(len(blocks), -1)).reshape((P.shape[0],) + blocks.shape[1:])
 
@@ -172,8 +172,8 @@ def assemble_system(
                 elems = edges.elems[ids, r]
                 ones = np.ones(len(ids))
                 P = sp.csr_matrix((ones, (elems, np.arange(len(ids)))), shape=(nt, len(ids)))
-                a_data[diag] += _sum_rows(P, consist)
-                penalties[diag] += _sum_rows(P, penalty)
+                a_data[diag] += _incidence_sum(P, consist)
+                penalties[diag] += _incidence_sum(P, penalty)
             else:
                 a_data[upper] = consist
                 a_data[lower] = np.swapaxes(consist, 1, 2)

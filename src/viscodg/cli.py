@@ -1,4 +1,4 @@
-"""Study driver: config parsing, convergence/stability/penalty studies, CSV output.
+"""Study driver: config parsing, convergence and stability studies, CSV output.
 
 Configs are plain ``key = value`` text with ``#`` comments.  Time steps may
 be given as fraction literals (``dt = 1/2048``) to avoid decimal rounding.
@@ -25,7 +25,7 @@ from .stepper import Scheme, run, step_count
 
 CSV_HEADER = "scheme,k,n,h,dt," + ",".join(f"err_{name}" for name in NORM_NAMES)
 
-_STUDIES = ("single", "hconv", "tconv", "penalty", "stability")
+_STUDIES = ("hconv", "tconv", "stability")
 _SCHEMES = ("displacement", "velocity", "both")
 # the stability study compares the energy up to these two final times
 _STABILITY_HORIZONS = (5.0, 10.0)
@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class StudyConfig:
-    study: str = "single"
+    study: str = "hconv"
     scheme: str = "both"
     k: int = 1
     ns: list[int] = field(default_factory=lambda: [4])
@@ -52,7 +52,7 @@ class StudyConfig:
 
     def validate(self):
         if self.study not in _STUDIES:
-            raise ConfigError(f"unknown study '{self.study}'")
+            raise ConfigError(f"unknown study '{self.study}' (choose {', '.join(_STUDIES)})")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme '{self.scheme}'")
         if self.k < 1:
@@ -312,7 +312,8 @@ def main(argv=None) -> int:
         description="SIPG viscoelasticity solver: convergence and stability studies",
     )
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--study", choices=_STUDIES)
+    # checked by validate, so an unknown study is a config error like in a file
+    parser.add_argument("--study", help=", ".join(_STUDIES))
     parser.add_argument("--scheme", choices=_SCHEMES)
     parser.add_argument("--k")
     parser.add_argument("--n", help="mesh subdivisions, comma separated")

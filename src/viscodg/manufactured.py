@@ -29,8 +29,6 @@ def benchmark_material() -> PronyMaterial:
 class ManufacturedCase:
     """Exact fields and forcing data for the verification benchmark."""
 
-    T = 1.0
-
     def __init__(self, material: PronyMaterial | None = None):
         self.material = material or benchmark_material()
         if self.material.elastic is not None:

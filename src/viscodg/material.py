@@ -44,6 +44,10 @@ class PronyMaterial:
             raise ValueError("phis and taus must have equal length")
         if any(p <= 0 for p in self.phis) or any(t <= 0 for t in self.taus):
             raise ValueError("all phi_q and tau_q must be positive")
+        # the step coefficients take 2 tau_q
+        big = [t for t in self.taus if not math.isfinite(2.0 * t)]
+        if big:
+            raise ValueError(f"tau_q = {big[0]!r} is too large: 2 tau_q overflows")
         total = self.phi0 + sum(self.phis)
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"coefficients must sum to 1, got {total}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import minimum_degree_order
 
-# geometric tolerance for boundary classification of imported meshes
+# geometric tolerance for boundary classification
 _BOUNDARY_TOL = 1e-12
 # twice the area of a triangle, relative to its squared sides, below which it is degenerate
 _DEGENERATE_TOL = 1e-12
@@ -51,9 +51,9 @@ class TriMesh:
     order for its matrices.  The caller's array is not modified.
 
     Immutable after construction; safe to share between threads.  Raises
-    ValueError for a degenerate triangle (named by its given index), a
-    boundary edge off the sides of the unit square, or a mesh without
-    Dirichlet edges.
+    ValueError for a non-finite vertex coordinate, a degenerate or clockwise
+    triangle (named by its given index), a boundary edge off the sides of the
+    unit square, or a mesh without Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
@@ -62,6 +62,11 @@ class TriMesh:
     h: float = field(init=False)
 
     def __post_init__(self):
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
+        if bad.size:
+            v = bad[0]
+            coords = tuple(self.vertices[v].tolist())
+            raise ValueError(f"vertex {v} has a non-finite coordinate {coords}")
         p = self.vertices[self.triangles]
         e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -158,64 +163,3 @@ def build_structured_mesh(n: int) -> TriMesh:
     upper_left = np.stack([a, c, d], axis=-1)
     triangles = np.stack([lower_right, upper_left], axis=1).reshape(-1, 3).astype(np.int64)
     return TriMesh(vertices, triangles)
-
-
-def _rows(tokens: list[str], kind: type, width: int, field: str) -> np.ndarray:
-    """Tokens as an array of ``width`` columns of ``kind`` (float or int).
-
-    A token that does not parse raises ValueError naming its row and itself.
-    """
-    try:
-        return np.array(tokens, dtype=np.int64 if kind is int else kind).reshape(-1, width)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        for i, token in enumerate(tokens):
-            try:
-                kind(token)
-            except ValueError:
-                raise ValueError(f"{field} {i // width}: '{token}' is not {what}") from None
-        raise
-
-
-def read_mesh(text: str) -> TriMesh:
-    """Parse the ASCII mesh format: ``nv nt`` header, vertex lines, triangle lines.
-
-    The mesh must cover the unit square: boundary edges are classified
-    geometrically (Dirichlet on x=0 or y=0, Neumann on x=1 or y=1), and a
-    boundary edge on none of these sides raises ValueError.  So does a
-    header with fewer than 3 vertices or no triangle, a token that does not
-    parse (naming the header, vertex or triangle and the token), a non-finite
-    vertex coordinate, or a token count other than the header's.
-    """
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("mesh file too short")
-    try:
-        nv, nt = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ValueError(f"mesh header '{tokens[0]} {tokens[1]}' is not two integers") from None
-    if nv < 3 or nt < 1:
-        raise ValueError(
-            f"mesh header declares {nv} vertices and {nt} triangles; need >= 3 and >= 1"
-        )
-    need = 2 + 2 * nv + 3 * nt
-    if len(tokens) < need:
-        raise ValueError(f"mesh file truncated: expected {need} tokens, got {len(tokens)}")
-    if len(tokens) > need:
-        raise ValueError(
-            f"mesh file has {len(tokens)} tokens, more than the {need} its header declares"
-        )
-    vertices = _rows(tokens[2 : 2 + 2 * nv], float, 2, "vertex")
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=-1))
-    if bad.size:
-        v = bad[0]
-        raise ValueError(f"vertex {v} has a non-finite coordinate {tuple(vertices[v].tolist())}")
-    tris = _rows(tokens[2 + 2 * nv : need], int, 3, "triangle")
-    if tris.min() < 0 or tris.max() >= nv:
-        raise ValueError("triangle vertex index out of range")
-    # enforce CCW orientation
-    p = vertices[tris]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    clockwise = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
-    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
-    return TriMesh(vertices, tris)

@@ -165,7 +165,7 @@ class DGSpace:
         return vals.reshape(shape), grads.reshape(shape + (2,))
 
     @cached_property
-    def _edge_rows(self) -> np.ndarray:
+    def _edge_trace_row(self) -> np.ndarray:
         """Side-trace row of every edge on each side (n_edges, 2); junk where elems is -1."""
         edges = self.mesh.edges
         corners = self.mesh.triangles[edges.elems]  # (ne, 2, 3)
@@ -189,7 +189,7 @@ class DGSpace:
         p = self.mesh.vertices[edges.vertices[edge_ids]]  # (ne, 2, 2)
         p0, p1 = p[:, 0], p[:, 1]
         x = p0[:, None, :] + self.edge_points[None, :, None] * (p1 - p0)[:, None, :]
-        rows = self._edge_rows[edge_ids, side]
+        rows = self._edge_trace_row[edge_ids, side]
         vals, grads = self._side_traces
         return x, vals[rows], grads[rows] @ self.jac_inv[elems][:, None]
 

@@ -268,20 +268,13 @@ def block_step_oracle(system, material, dt, state, f_avg):
     return U1, W1, internal
 
 
-def mesh_text(vertices, triangles) -> str:
-    """ASCII mesh input for ``read_mesh``."""
-    lines = [f"{len(vertices)} {len(triangles)}"]
-    lines += [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
-    lines += [f"{a} {b} {c}" for a, b, c in triangles]
-    return "\n".join(lines)
-
-
 def scrambled_mesh_input(n: int, rng, amplitude: float = 0.2):
-    """Vertices and triangles of the structured n-mesh, given as an importer might.
+    """Vertices and triangles of the structured n-mesh, numbered out of order.
 
     Inner vertices move by up to ``amplitude / n`` in each coordinate (0.2 is
     well below half the smallest altitude, so no triangle inverts), vertices
-    are relabelled, triangles permuted and about half given clockwise.
+    are relabelled and triangles permuted, all still counterclockwise, so
+    ``TriMesh`` has to renumber them into its own edge and element order.
     """
     base = build_structured_mesh(n)
     v = base.vertices.copy()
@@ -291,8 +284,6 @@ def scrambled_mesh_input(n: int, rng, amplitude: float = 0.2):
     vertices = np.empty_like(v)
     vertices[relabel] = v
     triangles = relabel[base.triangles][rng.permutation(base.n_triangles)]
-    flip = rng.random(len(triangles)) < 0.5
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return vertices, triangles
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import average_jump, block_diagonal_mass, mesh_text, scrambled_mesh_input
+from conftest import average_jump, block_diagonal_mass, scrambled_mesh_input
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from viscodg.assembly import (
 from viscodg.linalg import factor
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
-from viscodg.mesh import EdgeTag, build_structured_mesh, read_mesh
+from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
 from viscodg.space import DGSpace
 
 
@@ -37,7 +37,7 @@ def test_mass_matches_block_diagonal_oracle(k, n, rho, scrambled, seed):
     # are those of the block-diagonal BSR conversion, bit for bit
     rng = np.random.default_rng(seed)
     if scrambled:
-        mesh = read_mesh(mesh_text(*scrambled_mesh_input(n, rng)))
+        mesh = TriMesh(*scrambled_mesh_input(n, rng))
     else:
         mesh = build_structured_mesh(n)
     space = DGSpace.build(mesh, k)
@@ -223,7 +223,7 @@ def test_separable_loads_match_plain_closures(k, rho, scrambled, seed, times):
     case = ManufacturedCase(PronyMaterial(rho, 0.5, (0.1, 0.4), (0.5, 1.5)))
     rng = np.random.default_rng(seed)
     if scrambled:
-        mesh = read_mesh(mesh_text(*scrambled_mesh_input(3, rng)))
+        mesh = TriMesh(*scrambled_mesh_input(3, rng))
     else:
         mesh = build_structured_mesh(3)
     loads = LoadAssembler(DGSpace.build(mesh, k))

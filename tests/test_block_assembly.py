@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh_text, reference_assembly, scrambled_mesh_input
+from conftest import reference_assembly, scrambled_mesh_input
 from viscodg.assembly import (
     LoadAssembler,
     assemble_elliptic_rhs,
@@ -12,7 +12,7 @@ from viscodg.assembly import (
     assemble_volume_stiffness,
 )
 from viscodg.material import PronyMaterial
-from viscodg.mesh import read_mesh
+from viscodg.mesh import TriMesh
 from viscodg.space import DGSpace
 from viscodg.stepper import Scheme, StepOperator
 
@@ -45,7 +45,7 @@ def test_block_assembly_matches_reference(case, k, n, isotropic, seed):
     # perturbed, relabelled meshes: same values to rounding, and an entry
     # stored by only one of them is a round-off residue or an explicit zero
     rng = np.random.default_rng(seed)
-    space = DGSpace.build(read_mesh(mesh_text(*scrambled_mesh_input(n, rng))), k)
+    space = DGSpace.build(TriMesh(*scrambled_mesh_input(n, rng)), k)
     material = _material(rng, isotropic)
     alpha0 = rng.uniform(5.0, 20.0)
     system = assemble_system(space, material, alpha0)
@@ -94,7 +94,7 @@ def _relative_asymmetry(m):
 @given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 def test_invariants_on_perturbed_meshes(k, n, seed):
     rng = np.random.default_rng(seed)
-    mesh = read_mesh(mesh_text(*scrambled_mesh_input(n, rng)))
+    mesh = TriMesh(*scrambled_mesh_input(n, rng))
     space = DGSpace.build(mesh, k)
     material = _material(rng, isotropic=True)
     system = assemble_system(space, material, 10.0)

@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import io
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ def test_parse_number_fractions():
 
 def test_defaults():
     cfg = parse_config("")
-    assert cfg.study == "single"
+    assert cfg.study == "hconv"
     assert cfg.scheme == "both"
     assert cfg.k == 1
     assert cfg.ns == [4]
@@ -86,7 +89,7 @@ def test_removed_keys_are_rejected(line):
 
 def test_main_rejects_the_beta0_flag(capfd):
     with pytest.raises(SystemExit) as exit_info:
-        main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4", "--beta0", "1"])
+        main(["--study", "hconv", "--k", "1", "--n", "2", "--dt", "1/4", "--beta0", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --beta0" in capfd.readouterr().err
 
@@ -180,8 +183,6 @@ def test_parse_errors():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("k = two")
     with pytest.raises(ConfigError):
-        parse_config("study = nope")
-    with pytest.raises(ConfigError):
         parse_config("scheme = fast")
     with pytest.raises(ConfigError):
         parse_config("k = 0")
@@ -195,13 +196,22 @@ def test_parse_errors():
         parse_config("phi0 = 0.9")  # coefficients no longer sum to 1
 
 
-def test_single_study_rows(tmp_path):
+@pytest.mark.parametrize("study", ["nope", "single", "penalty"])
+def test_unknown_study_names_the_studies(study):
+    message = rf"unknown study '{study}' \(choose hconv, tconv, stability\)"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"study = {study}")
+
+
+def test_hconv_study_with_one_n_prints_its_rows(tmp_path):
     out = tmp_path / "run.csv"
-    cfg = StudyConfig(study="single", scheme="both", k=1, ns=[2], dts=[0.25], out=str(out))
+    cfg = StudyConfig(study="hconv", scheme="both", k=1, ns=[2], dts=[0.25], out=str(out))
     buf = io.StringIO()
     rows = run_study(cfg, out=buf)
     assert rows[0] == CSV_HEADER
     assert len(rows) == 3  # header + one row per scheme
+    # one run has no rate to print: stdout carries the CSV rows instead
+    assert buf.getvalue() == "\n".join(rows) + "\n"
     assert rows[1].startswith("displacement,1,2,")
     assert rows[2].startswith("velocity,1,2,")
     assert out.read_text().strip().splitlines() == rows
@@ -212,7 +222,7 @@ def test_single_study_rows(tmp_path):
 
 
 def test_study_is_deterministic():
-    cfg = StudyConfig(study="single", scheme="displacement", k=1, ns=[2], dts=[0.25])
+    cfg = StudyConfig(study="hconv", scheme="displacement", k=1, ns=[2], dts=[0.25])
     rows1 = run_study(cfg, out=io.StringIO())
     rows2 = run_study(cfg, out=io.StringIO())
     assert rows1 == rows2
@@ -284,7 +294,7 @@ def test_stability_study_output(monkeypatch):
 
 def test_main_config_file(tmp_path, capfd):
     cfgfile = tmp_path / "study.cfg"
-    cfgfile.write_text("study = single\nscheme = displacement\nn = 2\ndt = 1/4\n")
+    cfgfile.write_text("study = hconv\nscheme = displacement\nn = 2\ndt = 1/4\n")
     assert main(["--config", str(cfgfile)]) == 0
     assert CSV_HEADER in capfd.readouterr().out
 
@@ -292,7 +302,7 @@ def test_main_config_file(tmp_path, capfd):
 def test_main_flag_overrides(tmp_path):
     out = tmp_path / "o.csv"
     rc = main(
-        ["--study", "single", "--scheme", "velocity", "--k", "1", "--n", "2",
+        ["--study", "hconv", "--scheme", "velocity", "--k", "1", "--n", "2",
          "--dt", "1/4", "--out", str(out)]
     )
     assert rc == 0
@@ -309,7 +319,7 @@ def test_main_bad_config_exit_code(tmp_path, capfd):
 
 
 def test_main_negative_final_time_exit_code(capfd):
-    assert main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4", "--T", "-1"]) == 2
+    assert main(["--study", "hconv", "--k", "1", "--n", "2", "--dt", "1/4", "--T", "-1"]) == 2
     assert "T must be positive" in capfd.readouterr().err
     with pytest.raises(ConfigError, match="T must be positive"):
         parse_config("T = 0")
@@ -319,7 +329,7 @@ def test_main_negative_final_time_exit_code(capfd):
     "flag, value", [("--T", "inf"), ("--dt", "nan"), ("--alpha0", "inf"), ("--T", "1e400")]
 )
 def test_main_non_finite_value_exit_code(capfd, flag, value):
-    args = {"--study": "single", "--k": "1", "--n": "2", "--dt": "1/4", "--T": "1"}
+    args = {"--study": "hconv", "--k": "1", "--n": "2", "--dt": "1/4", "--T": "1"}
     args[flag] = value
     assert main([item for pair in args.items() for item in pair]) == 2
     assert "config error: bad value" in capfd.readouterr().err
@@ -330,9 +340,11 @@ def test_main_non_finite_value_exit_code(capfd, flag, value):
 _REJECTED = [
     # (arguments, start of the error message)
     # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
-    ("--study single --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1", "T="),
+    ("--study hconv --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1", "T="),
+    # the single study is folded into hconv: the old command is refused, not run
+    ("--study single --scheme displacement --k 1 --n 2 --dt 1/4 --T 1", "unknown study 'single'"),
     # dt = h = 1/3 does not divide T
-    ("--study single --scheme displacement --k 1 --n 3 --dt h --T 0.5", "T="),
+    ("--study hconv --scheme displacement --k 1 --n 3 --dt h --T 0.5", "T="),
     # dt divides T, but not the stability horizons T=5 and T=10
     ("--study stability --scheme displacement --k 1 --n 2 --dt 0.3 --T 0.9", "T="),
     # only the second mesh's dt = h fails
@@ -363,6 +375,27 @@ def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
     assert f"config error: {message}" in capfd.readouterr().err
 
 
+def test_readme_command_lines_pass_the_config_checks(tmp_path, capfd, monkeypatch):
+    # every viscodg line of the README's Command line section, with its ini
+    # block as study.cfg: a renamed study, flag or key fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w+)\n(.*?)```", section, flags=re.DOTALL)
+    commands = [
+        line for lang, body in blocks if lang == "sh" for line in body.splitlines()
+        if line.startswith("viscodg ")
+    ]
+    [config] = [body for lang, body in blocks if lang == "ini"]
+    assert commands
+    (tmp_path / "study.cfg").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    studies = []
+    monkeypatch.setattr("viscodg.cli.run_study", lambda cfg, out=None: studies.append(cfg))
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, (command, capfd.readouterr().err)
+    assert len(studies) == len(commands)
+
+
 def test_main_rejects_an_unwritable_out_before_any_run(tmp_path, capfd, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the CSV file was opened")
@@ -380,7 +413,7 @@ def test_main_solver_failure_exit_code(capfd, monkeypatch):
         raise SolverError("solve residual 1 exceeds tolerance")
 
     monkeypatch.setattr("viscodg.cli.run_study", failing_study)
-    assert main(["--study", "single", "--k", "1", "--n", "2", "--dt", "1/4"]) == 3
+    assert main(["--study", "hconv", "--k", "1", "--n", "2", "--dt", "1/4"]) == 3
     err = capfd.readouterr().err
     assert "solver failure (alpha0=10.0, k=1, ns=[2])" in err
     assert "solve residual 1 exceeds tolerance" in err
@@ -418,8 +451,9 @@ _TAUS_NEAR_ONE = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-7, 1.0
 @example(dt=0.25, steps=1, alpha0=1e300, tau=1.5, n=2)
 # the closed-form kernel divides by 1 - tau = 0
 @example(dt=0.25, steps=1, alpha0=10.0, tau=1.0, n=2)
-# finite coefficients whose products overflow in a run: 2 tau, (2/dt^2) U and c_J J
+# 2 tau overflows: a config error, raised by the material before any run
 @example(dt=0.25, steps=1, alpha0=10.0, tau=9.99e307, n=2)
+# finite coefficients whose products overflow in a run: (2/dt^2) U and c_J J
 @example(dt=1.2e-154, steps=1, alpha0=10.0, tau=1.5, n=2)
 @example(dt=1e-150, steps=1, alpha0=1e160, tau=1.5, n=2)
 def test_main_ends_extreme_inputs_with_an_exit_code(tmp_path_factory, dt, steps, alpha0, tau, n):
@@ -427,11 +461,13 @@ def test_main_ends_extreme_inputs_with_an_exit_code(tmp_path_factory, dt, steps,
     # error or a solver failure, each with at most one line on stderr
     cfgfile = tmp_path_factory.mktemp("cfg") / "extreme.cfg"
     cfgfile.write_text(f"phi0 = 0.5\nphis = 0.5\ntaus = {tau!r}\n")
-    args = ["--config", str(cfgfile), "--study", "single", "--k", "1", "--n", str(n)]
+    args = ["--config", str(cfgfile), "--study", "hconv", "--k", "1", "--n", str(n)]
     args += ["--dt", repr(dt), "--T", repr(steps * dt), "--alpha0", repr(alpha0)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(args)
     assert rc in (0, 2, 3)
+    if not np.isfinite(2.0 * tau):  # the material rejects it before any run
+        assert rc == 2, err.getvalue()
     assert (rc == 0) == (err.getvalue() == ""), err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()

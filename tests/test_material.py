@@ -35,6 +35,10 @@ def test_validation():
     ):
         with pytest.raises(ValueError, match="finite"):
             PronyMaterial(rho=rho, phi0=phi0, phis=(phi,), taus=(tau,))
+    # a tau_q whose 2 tau_q, taken by the step coefficients, overflows
+    with pytest.raises(ValueError, match=r"tau_q = 9\.99e\+307 is too large: 2 tau_q overflows"):
+        PronyMaterial(rho=1.0, phi0=0.5, phis=(0.1, 0.4), taus=(9.99e307, 1.5))
+    PronyMaterial(rho=1.0, phi0=0.5, phis=(0.1, 0.4), taus=(8e307, 1.5))
     # an isotropic tensor that is not positive definite on symmetric strains
     for elastic in ((1.0, -0.5), (-3.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (nan, 1.0), (1.0, inf)):
         with pytest.raises(ValueError, match="elastic"):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh_text, scrambled_mesh_input
+from conftest import scrambled_mesh_input
 
 from viscodg.assembly import assemble_system
 from viscodg.errors import error_norms
-from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh, read_mesh
+from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
 from viscodg.space import DGSpace
 from viscodg.stepper import Scheme, run
 
@@ -123,82 +123,47 @@ def test_element_geometry_examples():
     assert np.allclose(e.normal[diagonal], from_0_into_1)
 
 
-def test_ascii_roundtrip():
-    m = build_structured_mesh(2)
-    m2 = read_mesh(mesh_text(m.vertices, m.triangles))
-    assert m2.n_triangles == m.n_triangles
-    assert len(m2.edges) == len(m.edges)
-    assert np.array_equal(m2.edges.tag, m.edges.tag)
-    assert np.allclose(m2.edges.normal, m.edges.normal)
-
-
-def test_ascii_rejects_truncated():
-    with pytest.raises(ValueError):
-        read_mesh("4 2\n0 0\n1 0")
-
-
-def _unit_square_text(nan_vertex=None):
+def test_rejects_non_finite_vertex():
     m = build_structured_mesh(2)
     vertices = m.vertices.copy()
-    if nan_vertex is not None:
-        vertices[nan_vertex, 0] = np.nan
-    return mesh_text(vertices, m.triangles)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("3 0\n0 0\n1 0\n0 1", "declares 3 vertices and 0 triangles"),
-        ("-1 0", "declares -1 vertices"),
-        ("2 1\n0 0\n1 0\n0 1 1", "declares 2 vertices"),
-        (_unit_square_text(nan_vertex=4), r"vertex 4 has a non-finite coordinate \(nan, 0.5\)"),
-        (_unit_square_text() + "\n0 1 2", "has 47 tokens, more than the 44"),
-        ("3.5 1\n0 0\n1 0\n0 1\n0 1 2", "mesh header '3.5 1' is not two integers"),
-        ("3 x\n0 0\n1 0\n0 1\n0 1 2", "mesh header '3 x' is not two integers"),
-        ("3 1\n0 0\n1 0,5\n0 1\n0 1 2", "vertex 1: '0,5' is not a number"),
-        ("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2.5 1", "triangle 1: '2.5' is not an integer"),
-    ],
-    ids=[
-        "no triangle",
-        "negative count",
-        "two vertices",
-        "nan vertex",
-        "extra tokens",
-        "fractional header",
-        "word in header",
-        "bad vertex token",
-        "fractional index",
-    ],
-)
-def test_ascii_rejects_malformed(text, message):
-    with pytest.raises(ValueError, match=message):
-        read_mesh(text)
+    vertices[4, 0] = np.nan
+    with pytest.raises(ValueError, match=r"vertex 4 has a non-finite coordinate \(nan, 0.5\)"):
+        TriMesh(vertices, m.triangles)
 
 
 def test_rejects_zero_area_triangle():
     # triangle 1 has three collinear vertices on the diagonal
-    text = "5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2\n0 4 2\n0 2 3"
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+    triangles = np.array([[0, 1, 2], [0, 4, 2], [0, 2, 3]])
     with pytest.raises(ValueError, match="triangle 1"):
-        read_mesh(text)
+        TriMesh(vertices, triangles)
+
+
+def test_rejects_clockwise_triangle():
+    m = build_structured_mesh(2)
+    triangles = m.triangles.copy()
+    triangles[3] = triangles[3, [0, 2, 1]]
+    with pytest.raises(ValueError, match=r"triangle 3 \(vertices .*\) has zero or negative area"):
+        TriMesh(m.vertices, triangles)
 
 
 def test_rejects_mesh_without_dirichlet_edge():
     m = build_structured_mesh(2)
     with pytest.raises(ValueError, match="Dirichlet"):
-        read_mesh(mesh_text(m.vertices + 1.0, m.triangles))
+        TriMesh(m.vertices + 1.0, m.triangles)
 
 
 def test_rejects_boundary_off_the_unit_square():
     # shifted to [-1,0]x[0,1], x=-1 and x=0 would both pass for Dirichlet sides
     m = build_structured_mesh(2)
     with pytest.raises(ValueError, match="unit square"):
-        read_mesh(mesh_text(m.vertices - [1.0, 0.0], m.triangles))
+        TriMesh(m.vertices - [1.0, 0.0], m.triangles)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
-    m = read_mesh(mesh_text(*scrambled_mesh_input(n, np.random.default_rng(seed))))
+    m = TriMesh(*scrambled_mesh_input(n, np.random.default_rng(seed)))
     e = m.edges
     assert np.all(_areas(m) > 0)
     boundary = e.elems[:, 1] < 0
@@ -269,7 +234,7 @@ def test_element_numbering_does_not_change_the_solution(case, seed):
     # given in; the discrete solution is the same up to rounding
     base = build_structured_mesh(4)
     vertices, given_triangles = scrambled_mesh_input(4, np.random.default_rng(seed), amplitude=0.0)
-    m = read_mesh(mesh_text(vertices, given_triangles))
+    m = TriMesh(vertices, given_triangles)
     # each given triangle appears exactly once
     assert sorted(map(sorted, m.triangles.tolist())) == sorted(map(sorted, given_triangles.tolist()))
     assert np.all(_areas(m) > 0)

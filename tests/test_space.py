@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import mesh_text, scrambled_mesh_input, space_with_quadrature
+from conftest import scrambled_mesh_input, space_with_quadrature
 
-from viscodg.mesh import build_structured_mesh, read_mesh
+from viscodg.mesh import TriMesh, build_structured_mesh
 from viscodg.space import (
     DGSpace,
     edge_quadrature,
@@ -167,7 +167,7 @@ def _assert_traces_match_pullback(space):
 @pytest.mark.parametrize("scrambled", [False, True])
 def test_edge_traces_match_the_pullback(k, scrambled, rng):
     if scrambled:
-        mesh = read_mesh(mesh_text(*scrambled_mesh_input(4, rng)))
+        mesh = TriMesh(*scrambled_mesh_input(4, rng))
     else:
         mesh = build_structured_mesh(3)
     space = DGSpace.build(mesh, k)
