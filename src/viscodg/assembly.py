@@ -141,6 +141,8 @@ def assemble_system(
     edge terms over interior and Dirichlet edges only, and J the jump penalty
     of weight alpha0 / |e|.  A is stored on the union of its own pattern, J's
     and M's, so it keeps an explicit zero where it cancels and J or M does not.
+    The system records ``space``, ``material`` and ``alpha0``; everything
+    downstream reads them from it.
     """
     D = material.elasticity
     nt, nd = space.mesh.n_triangles, space.dofs_per_element
@@ -217,7 +219,7 @@ def assemble_system(
         ),
         shape=(n, n),
     )
-    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0)
+    return AssembledSystem(M, A, J, M_slots, J_slots, material, alpha0, space)
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray) -> np.ndarray:
@@ -319,16 +321,16 @@ class LoadAssembler:
         return out
 
 
-def assemble_elliptic_rhs(space: DGSpace, system: "AssembledSystem", u0, grad_u0) -> np.ndarray:
+def assemble_elliptic_rhs(system: "AssembledSystem", u0, grad_u0) -> np.ndarray:
     """Right-hand side of a(U0, v) = a(u0, v) for a continuous field u0.
 
     ``u0(x, y) -> (ux, uy)`` and ``grad_u0(x, y)`` nested as
     [component][derivative], as ``grad_array`` reads it.  Interior jumps of
     u0 vanish, so only the average-stress edge term survives there; Dirichlet
-    edges also carry the symmetrizing and penalty terms in u0's trace.  D and
-    alpha0 are those the system was assembled with.
+    edges also carry the symmetrizing and penalty terms in u0's trace.  The
+    space, D and alpha0 are those the system was assembled with.
     """
-    D, alpha0 = system.material.elasticity, system.alpha0
+    space, D, alpha0 = system.space, system.material.elasticity, system.alpha0
     nt, nb = space.mesh.n_triangles, space.dofs_per_component
     n = space.total_dofs
 
@@ -380,7 +382,7 @@ def grad_array(grad_u0, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """The three matrices of the schemes, and the material and penalty that built them.
+    """The three matrices of the schemes, and the material, penalty and space that built them.
 
     A's pattern holds M's and J's: entry i of ``M.data`` sits at
     ``A.data[M_slots[i]]``, and likewise for J, so a combination of the three
@@ -394,6 +396,7 @@ class AssembledSystem:
     J_slots: np.ndarray
     material: PronyMaterial
     alpha0: float  # the jump penalty weighs alpha0 / |e|
+    space: DGSpace | None  # None only for a system built by hand, with no mesh
 
     def combine(self, c_M: float, c_A: float, c_J: float) -> sp.csr_matrix:
         """c_M M + c_A A + c_J J as a CSR matrix that shares A's index arrays.

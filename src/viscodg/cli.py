@@ -131,8 +131,9 @@ def _comma_list(parse, kind=list):
     return lambda text: kind(parse(v) for v in text.split(","))
 
 
-# config key -> (StudyConfig field, parser of the value text); each key is
-# also the command-line flag --key, parsed alike
+# config key -> (StudyConfig field, parser of the value text); every key but
+# the material's (rho, phi0, phis, taus) is also the command-line flag --key,
+# parsed alike
 _KEYS = {
     "study": ("study", str),
     "scheme": ("scheme", str),
@@ -178,16 +179,16 @@ def parse_config(text: str) -> StudyConfig:
 
 
 def _discretization(cfg: StudyConfig, n: int, cache: dict):
-    """DG space and assembled system of (cfg.k, n), built once per study."""
+    """Assembled system of (cfg.k, n) on its DG space, built once per study."""
     key = (cfg.k, n)
     if key not in cache:
         space = DGSpace.build(build_structured_mesh(n), cfg.k)
-        cache[key] = (space, assemble_system(space, cfg.material(), cfg.alpha0))
+        cache[key] = assemble_system(space, cfg.material(), cfg.alpha0)
     return cache[key]
 
 
-def _run_case(scheme: Scheme, space, system, T: float, dt: float, forced: bool, diagnostics=None):
-    """``run`` from the manufactured initial data of the system's material.
+def _run_case(scheme: Scheme, system, T: float, dt: float, forced: bool, diagnostics=None):
+    """``run`` on the system's space from the manufactured initial data of its material.
 
     With ``forced`` the run takes the case's body force and traction, else
     its loads are homogeneous.  Returns the case and the final state.
@@ -196,7 +197,7 @@ def _run_case(scheme: Scheme, space, system, T: float, dt: float, forced: bool, 
     loads = {"body_force": case.body_force_at, "traction": case.traction_at} if forced else {}
     state = run(
         scheme,
-        space,
+        system.space,
         system,
         system.material,
         T,
@@ -212,9 +213,9 @@ def _run_case(scheme: Scheme, space, system, T: float, dt: float, forced: bool, 
 
 def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
     """Solve one configuration and return its ErrorReport."""
-    space, system = _discretization(cfg, n, cache)
-    case, state = _run_case(scheme, space, system, cfg.final_time(), dt, forced=True)
-    return error_norms(state, case, space, system, dt=dt)
+    system = _discretization(cfg, n, cache)
+    case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
+    return error_norms(state, case, system.space, system, dt=dt)
 
 
 def _csv_row(report, n: int) -> str:
@@ -282,8 +283,8 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
 def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
     """Max-over-steps energy for T=5 and T=10 with homogeneous loads."""
     n, dt = cfg.runs()[0]
-    space, system = _discretization(cfg, n, cache)
-    energy_matrix = assemble_volume_stiffness(space, system.material) + system.J
+    system = _discretization(cfg, n, cache)
+    energy_matrix = assemble_volume_stiffness(system.space, system.material) + system.J
 
     short, long = _STABILITY_HORIZONS
     # the run to T=10 passes through T=5, so one run gives both peaks
@@ -297,7 +298,7 @@ def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
                 maxima[short] = max(maxima[short], e)
             maxima[long] = max(maxima[long], e)
 
-        _run_case(scheme, space, system, long, dt, forced=False, diagnostics=track)
+        _run_case(scheme, system, long, dt, forced=False, diagnostics=track)
         ratio = maxima[long] / maxima[short]
         print(
             f"stability ({scheme.value} form): max energy T={short:g}: {maxima[short]:.6e}  "
@@ -345,8 +346,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ArithmeticError) as exc:  # or a float error in a run
+        runs = ", ".join(f"({n}, {dt!r})" for n, dt in cfg.runs())
         print(
-            f"solver failure (alpha0={cfg.alpha0}, k={cfg.k}, ns={cfg.ns}): {exc}",
+            f"solver failure (alpha0={cfg.alpha0}, k={cfg.k}, (n, dt) = {runs}): {exc}",
             file=sys.stderr,
         )
         return 3

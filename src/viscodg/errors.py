@@ -38,10 +38,9 @@ class ErrorReport:
         return tuple(getattr(self, f"err_{name}") for name in NORM_NAMES)
 
 
-def _field_error_norms(
-    space: DGSpace, system: AssembledSystem, coeffs: np.ndarray, exact, grad_exact
-):
-    """L2, full broken H1 and energy norms of (exact - discrete)."""
+def _field_error_norms(system: AssembledSystem, coeffs: np.ndarray, exact, grad_exact):
+    """L2, full broken H1 and energy norms of (exact - discrete) on the system's space."""
+    space = system.space
     xq = space.physical_quad_points()
     wdet = space.elem_weights[None, :] * space.det_jac[:, None]
 
@@ -88,21 +87,21 @@ def error_norms(
 ) -> ErrorReport:
     """All six error norms of a state against the exact fields of ``case``.
 
-    ``case.material`` must be the one ``system`` was assembled with, or
-    ``ValueError`` is raised.
+    ``space`` must be ``system.space`` and ``case.material`` the material
+    ``system`` was assembled with, or ``ValueError`` is raised.
     """
+    if space is not system.space:
+        raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
     if case.material != system.material:
         raise ValueError(f"case material {case.material} is not the system's {system.material}")
     t = state.t
     u_l2, u_h1, u_en = _field_error_norms(
-        space,
         system,
         state.U,
         lambda x, y: case.displacement(x, y, t),
         lambda x, y: case.grad_displacement(x, y, t),
     )
     w_l2, w_h1, w_en = _field_error_norms(
-        space,
         system,
         state.W,
         lambda x, y: case.velocity(x, y, t),

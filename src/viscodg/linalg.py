@@ -33,8 +33,8 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve K x = b.
 
-        A non-finite b raises ValueError; a finite b whose norm overflows (a
-        run that has blown up) or a large or overflowing residual raises SolverError.
+        A non-finite b raises ValueError; a finite b whose norm overflows, or a
+        residual whose norm overflows or exceeds 1e-8 of b's, raises SolverError.
         """
         with np.errstate(over="ignore"):
             nb = np.linalg.norm(b)
@@ -43,7 +43,7 @@ class Factorization:
             if len(bad):
                 raise ValueError(f"right-hand side entry {bad[0]} is {b.flat[bad[0]]}, not finite")
             big = np.abs(b).max()
-            raise SolverError(f"right-hand side norm overflows (max |b| = {big:.3e}); the run blew up")
+            raise SolverError(f"right-hand side norm overflows (max |b| = {big:.3e})")
         # _lu factors the transpose of the matrix (see ``factor``)
         x = self._lu.solve(b, trans="T")
         if nb > 0:
@@ -53,7 +53,10 @@ class Factorization:
             if np.isinf(res) and np.isfinite(r).all():
                 raise SolverError(f"residual norm overflows (max |Kx - b| = {np.abs(r).max():.3e})")
             if not np.isfinite(res) or res > 1e-8:
-                raise SolverError(f"solve residual {res:.3e} exceeds tolerance; matrix may not be SPD")
+                raise SolverError(
+                    f"solve residual {res:.3e} exceeds 1e-8: the matrix is not SPD"
+                    " or is too badly scaled"
+                )
         return x
 
 

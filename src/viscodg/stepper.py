@@ -96,15 +96,16 @@ class StepOperator:
         return cls(system, scheme, dt, a, rate, gamma, u_weight, sign, K)
 
 
-def initialize(system: AssembledSystem, space: DGSpace, u0, grad_u0, w0, scheme: Scheme) -> State:
-    """Discrete initial data: elliptic projection of u0, L2 projection of w0."""
+def initialize(system: AssembledSystem, u0, grad_u0, w0, scheme: Scheme) -> State:
+    """Elliptic projection of u0 and L2 projection of w0 on the system's space."""
+    space = system.space
     if (u0 is None) != (grad_u0 is None):
         missing = "grad_u0" if grad_u0 is None else "u0"
         raise ValueError(f"{missing} is missing: the elliptic projection needs u0 and grad_u0")
     if u0 is None:
         U = np.zeros(space.total_dofs)
     else:
-        U = factor(system.A).solve(assemble_elliptic_rhs(space, system, u0, grad_u0))
+        U = factor(system.A).solve(assemble_elliptic_rhs(system, u0, grad_u0))
     if w0 is None:
         W = np.zeros(space.total_dofs)
     else:
@@ -206,14 +207,17 @@ def run(
     its coefficients, as for ``ManufacturedCase``.  ``diagnostics(state)``
     is called at every time level when given.  The form's ``StepOperator``
     (its coefficient row and factored step matrix) is built once, after the
-    first ``diagnostics`` call, and reused for every step.  ``material``
-    must be the one ``system`` was assembled with, or ``ValueError`` is raised.
+    first ``diagnostics`` call, and reused for every step.  ``space`` and
+    ``material`` must be the ones ``system`` was assembled with (the space
+    the same object, ``system.space``), or ``ValueError`` is raised.
     """
+    if space is not system.space:
+        raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
     if material != system.material:
         raise ValueError(f"material {material} is not the system's {system.material}")
     n_steps = step_count(T, dt)
 
-    state = initialize(system, space, u0, grad_u0, w0, scheme)
+    state = initialize(system, u0, grad_u0, w0, scheme)
 
     loads = LoadAssembler(space)
 

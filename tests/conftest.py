@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from viscodg.assembly import assemble_system, grad_array
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
-from viscodg.mesh import EdgeTag, build_structured_mesh
+from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
 from viscodg.space import DGSpace, edge_quadrature, reference_basis, triangle_quadrature
 from viscodg.stepper import Scheme
 
@@ -481,6 +481,29 @@ def quadratic_setup(case):
     space = DGSpace.build(mesh, 2)
     system = assemble_system(space, case.material, alpha0=10.0)
     return mesh, space, system
+
+
+@pytest.fixture(scope="session")
+def coarse_setup(case):
+    """n=4, k=1 mesh/space/system: 32 triangles."""
+    mesh = build_structured_mesh(4)
+    space = DGSpace.build(mesh, 1)
+    system = assemble_system(space, case.material, alpha0=10.0)
+    return mesh, space, system
+
+
+@pytest.fixture(params=["scrambled", "rebuilt"])
+def foreign_space(request, coarse_setup):
+    """A P1 space on 32 triangles that is not ``coarse_setup``'s own.
+
+    Either a perturbed and renumbered n=4 mesh, on which a run with the
+    structured system's matrices would end with a u_L2 tens of times too
+    large, or the structured mesh itself built into a second ``DGSpace``.
+    """
+    mesh, space, _ = coarse_setup
+    if request.param == "scrambled":
+        mesh = TriMesh(*scrambled_mesh_input(4, np.random.default_rng(4), amplitude=0.3))
+    return DGSpace.build(mesh, space.degree)
 
 
 @pytest.fixture

@@ -382,7 +382,6 @@ def test_criterion_9_initial_data(case):
             system = assemble_system(space, case.material, 10.0)
             st = initialize(
                 system,
-                space,
                 case.displacement_at(0.0),
                 case.grad_displacement_at(0.0),
                 case.velocity_at(0.0),

@@ -281,7 +281,7 @@ def test_elliptic_rhs_reproduces_polynomials(case):
                 (3.0 * o, -1.0 * o),
             )
 
-        rhs = assemble_elliptic_rhs(space, system, u0, grad_u0)
+        rhs = assemble_elliptic_rhs(system, u0, grad_u0)
         U = factor(system.A).solve(rhs)
         assert np.abs(U - space.interpolate(u0)).max() < 1e-9
 
@@ -324,11 +324,12 @@ def test_sipg_identity_with_average_jump(case, small_setup, rng):
 def test_assembled_system_contents(case, small_setup):
     _, space, system = small_setup
     # the schemes need the mass, the SIPG form and its penalty part, where the
-    # entries of M and J sit in A, and the material and penalty that built
-    # them, nothing else
+    # entries of M and J sit in A, and the material, penalty and space that
+    # built them, nothing else
     fields = [f.name for f in dataclasses.fields(AssembledSystem)]
-    assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0"]
+    assert fields == ["M", "A", "J", "M_slots", "J_slots", "material", "alpha0", "space"]
     assert (system.material, system.alpha0) == (case.material, 10.0)
+    assert system.space is space  # the very object, not a copy
     assert system.M.shape == (space.total_dofs, space.total_dofs)
     # assembling again gives the same matrices and slots, bit for bit
     again = assemble_system(space, case.material, 10.0)
@@ -367,7 +368,7 @@ def test_combine_needs_a_canonical_pattern(case):
     one = sp.csr_matrix(np.eye(2))
     unsorted = sp.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 2, 2])), (2, 2))
     slots = np.array([1, 2])
-    system = AssembledSystem(one, unsorted, one, slots, slots, case.material, 10.0)
+    system = AssembledSystem(one, unsorted, one, slots, slots, case.material, 10.0, None)
     with pytest.raises(ValueError, match="canonical"):
         system.combine(1.0, 1.0, 1.0)
 

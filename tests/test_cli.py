@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscodg.cli import (
+    _KEYS,
     _SCHEMES,
     _STUDIES,
     CSV_HEADER,
@@ -268,7 +269,8 @@ def test_stability_study_output(monkeypatch):
     assert "ratio" in text
     assert runs == [(s, 10.0) for s in cfg.schemes()]
     # the T=5 peak is the one a run that stops at T=5 sees
-    space, system = _discretization(cfg, 2, {})
+    system = _discretization(cfg, 2, {})
+    space = system.space
     case = ManufacturedCase(cfg.material())
     energy = assemble_volume_stiffness(space, case.material) + system.J
     for s in cfg.schemes():
@@ -415,8 +417,71 @@ def test_main_solver_failure_exit_code(capfd, monkeypatch):
     monkeypatch.setattr("viscodg.cli.run_study", failing_study)
     assert main(["--study", "hconv", "--k", "1", "--n", "2", "--dt", "1/4"]) == 3
     err = capfd.readouterr().err
-    assert "solver failure (alpha0=10.0, k=1, ns=[2])" in err
+    assert "solver failure (alpha0=10.0, k=1, (n, dt) = (2, 0.25))" in err
     assert "solve residual 1 exceeds tolerance" in err
+
+
+# each failing run names its (n, dt) and what was measured: (2/dt^2) U
+# overflows; the first step's right-hand side overflows, its M term weighted
+# by 2/dt^2 = 2e300; alpha0 = 1e25 leaves A SPD but too badly scaled for SuperLU
+_SOLVER_FAILURES = [
+    (
+        "--k 1 --n 2 --dt 1.2e-154 --T 1.2e-154",
+        r"alpha0=10\.0, k=1, \(n, dt\) = \(2, 1\.2e-154\)\): overflow encountered in multiply",
+    ),
+    (
+        "--k 1 --n 2 --dt 1e-150 --T 1e-150",
+        r"alpha0=10\.0, k=1, \(n, dt\) = \(2, 1e-150\)\):"
+        r" right-hand side norm overflows \(max \|b\| = \S+\)",
+    ),
+    (
+        "--k 1 --n 2 --alpha0 1e25 --dt 1/4 --T 1/4",
+        r"alpha0=1e\+25, k=1, \(n, dt\) = \(2, 0\.25\)\):"
+        r" solve residual \S+ exceeds 1e-8: the matrix is not SPD or is too badly scaled",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, message", _SOLVER_FAILURES, ids=[a for a, _ in _SOLVER_FAILURES])
+def test_main_solver_failures_name_the_run_and_the_measured_cause(capfd, args, message):
+    assert main(args.split()) == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"solver failure \(" + message, lines[0]), lines[0]
+
+
+_MATERIAL_KEYS = ("rho", "phi0", "phis", "taus")
+
+
+def test_main_takes_every_key_but_the_material_ones_as_a_flag(tmp_path, monkeypatch):
+    values = {
+        "study": "tconv",
+        "scheme": "velocity",
+        "k": "2",
+        "n": "3",
+        "dt": "1/4,1/8",
+        "T": "1/2",
+        "alpha0": "12",
+        "out": str(tmp_path / "x.csv"),
+    }
+    assert len(values) == 8 and set(values) | set(_MATERIAL_KEYS) == set(_KEYS)
+    studies = []
+    monkeypatch.setattr("viscodg.cli.run_study", lambda cfg, out=None: studies.append(cfg))
+    assert main([arg for key, value in values.items() for arg in (f"--{key}", value)]) == 0
+    # each flag is parsed like its key
+    assert studies == [parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))]
+
+
+@pytest.mark.parametrize("key", _MATERIAL_KEYS)
+def test_main_has_no_material_flags(capfd, monkeypatch, key):
+    def no_study(cfg, out=None):
+        raise AssertionError("study started with an unknown flag")
+
+    monkeypatch.setattr("viscodg.cli.run_study", no_study)
+    with pytest.raises(SystemExit) as exc:
+        main(["--k", "1", "--n", "2", "--dt", "1/4", f"--{key}", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} 2" in capfd.readouterr().err
 
 
 def test_main_missing_config_file(capfd):

@@ -91,6 +91,23 @@ def test_error_norms_reject_another_material(small_setup):
         error_norms(_state(space, Z, Z), other, space, system)
 
 
+def test_error_norms_reject_another_space(case, coarse_setup, foreign_space):
+    # a state from the system's own space, normed on another space of the same size
+    from viscodg.stepper import initialize
+
+    _, space, system = coarse_setup
+    st = initialize(
+        system,
+        case.displacement_at(0.0),
+        case.grad_displacement_at(0.0),
+        case.velocity_at(0.0),
+        Scheme.DISPLACEMENT,
+    )
+    assert error_norms(st, case, space, system).err_u_L2 > 0
+    with pytest.raises(ValueError, match="^space is not the system's: pass system.space"):
+        error_norms(st, case, foreign_space, system)
+
+
 def test_error_norms_on_manufactured_case(case, small_setup):
     # elliptic projection of u(0) has small but nonzero error on a coarse mesh
     from viscodg.stepper import initialize
@@ -98,7 +115,6 @@ def test_error_norms_on_manufactured_case(case, small_setup):
     _, space, system = small_setup
     st = initialize(
         system,
-        space,
         case.displacement_at(0.0),
         case.grad_displacement_at(0.0),
         case.velocity_at(0.0),
@@ -141,7 +157,6 @@ def test_quadrature_refinement_is_converged(case):
         system = assemble_system(space, case.material, 10.0)
         st = initialize(
             system,
-            space,
             case.displacement_at(0.0),
             case.grad_displacement_at(0.0),
             case.velocity_at(0.0),

@@ -46,6 +46,7 @@ def _scalar_system(material):
         J_slots=np.array([], dtype=int),
         material=material,
         alpha0=10.0,
+        space=None,
     )
 
 
@@ -205,7 +206,6 @@ def test_initialize_projections(case, small_setup):
     _, space, system = small_setup
     st = initialize(
         system,
-        space,
         u0=lambda x, y: (x + 2 * y, 3 * x - y),
         grad_u0=lambda x, y: (
             (np.ones_like(x), 2 * np.ones_like(x)),
@@ -232,14 +232,14 @@ def test_velocity_projection_is_the_plain_l2_projection(case, rho, k):
     material = PronyMaterial(rho=rho, phi0=0.5, phis=(0.1, 0.4), taus=(0.5, 1.5))
     system = assemble_system(space, material)
     w0 = case.velocity_at(0.0)
-    W = initialize(system, space, None, None, w0, Scheme.VELOCITY).W
+    W = initialize(system, None, None, w0, Scheme.VELOCITY).W
     ref = factor(block_diagonal_mass(space, 1.0)).solve(LoadAssembler(space).assemble(f=w0))
     assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_initialize_none_is_zero(case, small_setup):
-    _, space, system = small_setup
-    st = initialize(system, space, None, None, None, Scheme.VELOCITY)
+    _, _, system = small_setup
+    st = initialize(system, None, None, None, Scheme.VELOCITY)
     assert np.allclose(st.U, 0.0)
     assert np.allclose(st.W, 0.0)
 
@@ -322,6 +322,33 @@ def test_run_rejects_another_material_up_front(small_setup, monkeypatch):
         )
 
 
+def test_run_rejects_another_space_up_front(case, coarse_setup, foreign_space, monkeypatch):
+    # a space of the same size that is not the system's own fails before any
+    # projection or factorization, also when it holds the system's own mesh
+    _, _, system = coarse_setup
+    assert foreign_space.total_dofs == system.space.total_dofs
+
+    def not_yet(*args):
+        raise AssertionError("projected or factored before the space was checked")
+
+    monkeypatch.setattr("viscodg.stepper.factor", not_yet)
+    monkeypatch.setattr("viscodg.stepper.assemble_elliptic_rhs", not_yet)
+    with pytest.raises(ValueError, match="^space is not the system's: pass system.space"):
+        run(
+            Scheme.DISPLACEMENT,
+            foreign_space,
+            system,
+            case.material,
+            T=1.0,
+            dt=0.25,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
+            body_force=case.body_force_at,
+            traction=case.traction_at,
+        )
+
+
 @pytest.mark.parametrize("missing", ["u0", "grad_u0"])
 def test_initial_displacement_needs_u0_and_grad_u0(case, small_setup, monkeypatch, missing):
     # either one alone fails, naming the missing one, before any factorization
@@ -336,7 +363,7 @@ def test_initial_displacement_needs_u0_and_grad_u0(case, small_setup, monkeypatc
     with pytest.raises(ValueError, match=f"^{missing} is missing"):
         run(Scheme.DISPLACEMENT, space, system, case.material, T=1.0, dt=0.25, **data)
     with pytest.raises(ValueError, match=f"^{missing} is missing"):
-        initialize(system, space, data["u0"], data["grad_u0"], None, Scheme.VELOCITY)
+        initialize(system, data["u0"], data["grad_u0"], None, Scheme.VELOCITY)
 
 
 def test_run_zero_steps(case, small_setup):
