@@ -32,6 +32,11 @@ interior and then the Dirichlet edges, then the penalty matrix J), so
 assembling twice with the same BLAS gives identical matrices.  Against a triplet sum the values
 differ in the last bits, and entries that cancel may keep a round-off
 residue (about 1e-16 max|A|) instead of an exact zero.
+
+A ``LoadAssembler`` holds the quadrature points of one space.  A forcing
+given there as a ``SeparableField``, coefficients times spatial fields, has
+its fields evaluated at those points and contracted with the basis once;
+each later time level only combines the contractions.
 """
 
 import math
@@ -243,27 +248,20 @@ class SeparableField:
     """Field sum_j coefficients[:, j] F_j at one time level, coefficients (2, m).
 
     ``fields(*points)`` returns the m scalar fields F_j and depends on the
-    points alone.  The field unpacks as (fx, fy), like a plain pair.
+    points alone; a ``LoadAssembler`` evaluates it at its own points.
     """
 
     coefficients: np.ndarray
     fields: Callable
-    points: tuple
-
-    def __array__(self, dtype=None, copy=None):
-        values = np.broadcast_arrays(*self.fields(*self.points))
-        return np.asarray(np.tensordot(self.coefficients, values, axes=1), dtype)
-
-    def __iter__(self):
-        return iter(self.__array__())
 
 
 class LoadAssembler:
     """Load vectors at fixed quadrature points, one assembler per run.
 
     A pair (fx, fy) is contracted with the basis on every call.  The fields of
-    a ``SeparableField`` are contracted once, and kept while its ``fields``
-    callable stays the same; a call then only combines them.
+    a ``SeparableField`` are evaluated at the assembler's points and
+    contracted once, and kept while its ``fields`` callable stays the same; a
+    call then only combines them.
     """
 
     def __init__(self, space: DGSpace):
@@ -293,13 +291,14 @@ class LoadAssembler:
         values = np.stack([np.broadcast_to(f, shape) for f in fields], axis=-1)  # (ne, nqe, m)
         return np.moveaxis(self.n_wvals @ values, -1, 0)
 
-    def _blocks(self, value, contract) -> np.ndarray:
-        """Element load blocks (n, 2, nb) of one forcing value."""
+    def _blocks(self, forcing, contract, points) -> np.ndarray:
+        """Element load blocks (n, 2, nb) of ``forcing(*points)``."""
+        value = forcing(*points)
         if not isinstance(value, SeparableField):
             return np.swapaxes(contract(value), 0, 1)
         fields, vectors = self._contracted.get(contract.__name__, (None, None))
         if fields != value.fields:
-            fields, vectors = value.fields, contract(value.fields(*value.points))
+            fields, vectors = value.fields, contract(value.fields(*points))
             self._contracted[contract.__name__] = fields, vectors
         return np.swapaxes(np.tensordot(value.coefficients, vectors, axes=1), 0, 1)
 
@@ -314,9 +313,9 @@ class LoadAssembler:
         nt, nb = space.mesh.n_triangles, space.dofs_per_component
         out = np.zeros(space.total_dofs)
         if f is not None:
-            out.reshape(nt, 2, nb)[...] = self._blocks(f(*self.xq), self._domain_vectors)
+            out.reshape(nt, 2, nb)[...] = self._blocks(f, self._domain_vectors, self.xq)
         if g_N is not None and len(self.neumann):
-            blocks = self._blocks(g_N(*self.n_points), self._neumann_vectors)
+            blocks = self._blocks(g_N, self._neumann_vectors, self.n_points)
             out += _scatter(len(out), self.n_dofs, blocks)
         return out
 

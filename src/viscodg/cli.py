@@ -161,7 +161,11 @@ def _set(cfg: StudyConfig, key: str, value: str) -> None:
 
 
 def parse_config(text: str) -> StudyConfig:
-    """Parse ``key = value`` lines into a validated StudyConfig."""
+    """Parse ``key = value`` lines into a StudyConfig.
+
+    Each value is checked alone; the settings are checked together by
+    ``StudyConfig.validate``, once any command-line flags are applied.
+    """
     cfg = StudyConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,7 +178,6 @@ def parse_config(text: str) -> StudyConfig:
             _set(cfg, key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
@@ -231,19 +234,17 @@ def _rate_table(rows_by_scheme: dict, scales: list[float], out) -> None:
         header = "  ".join(f"{name:>9}" for name in NORM_NAMES)
         print(f"  {'pair':>13}  {header}", file=out)
         errs = np.array([r.as_row() for r in reports])
-        for i in range(1, len(reports)):
-            rates = [
-                convergence_rate(errs[i - 1 : i + 1, j], scales[i - 1 : i + 1])[0]
-                for j in range(len(NORM_NAMES))
-            ]
-            label = f"{scales[i - 1]:.4g}->{scales[i]:.4g}"
-            print(f"  {label:>13}  " + "  ".join(f"{r:9.2f}" for r in rates), file=out)
+        rates = zip(*(convergence_rate(column, scales) for column in errs.T))
+        for coarse, fine, row in zip(scales, scales[1:], rates):
+            label = f"{coarse:.4g}->{fine:.4g}"
+            print(f"  {label:>13}  " + "  ".join(f"{r:9.2f}" for r in row), file=out)
 
 
 def run_study(cfg: StudyConfig, out=None) -> list[str]:
     """Execute a study; returns the CSV rows (also written to cfg.out if set).
 
-    cfg.out is opened before the first run: a path that cannot be written
+    cfg is run as given: check it with ``cfg.validate()`` first, as ``main``
+    does.  cfg.out is opened before the first run: a path that cannot be written
     raises ``ConfigError`` before any work is done.
     """
     if out is None:

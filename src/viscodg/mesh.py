@@ -51,9 +51,11 @@ class TriMesh:
     order for its matrices.  The caller's array is not modified.
 
     Immutable after construction; safe to share between threads.  Raises
-    ValueError for a non-finite vertex coordinate, a degenerate or clockwise
-    triangle (named by its given index), a boundary edge off the sides of the
-    unit square, or a mesh without Dirichlet edges.
+    ValueError for vertices not (nv, 2) or with a non-finite coordinate,
+    triangles not an integer (nt, 3) array, a triangle with an index outside
+    [0, nv) or that is degenerate or clockwise (named by its given index), a
+    boundary edge off the sides of the unit square, or a mesh without
+    Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
@@ -62,23 +64,35 @@ class TriMesh:
     h: float = field(init=False)
 
     def __post_init__(self):
-        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
+        vertices, triangles = np.asarray(self.vertices), np.asarray(self.triangles)
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
+            raise ValueError(f"vertices must be an (nv, 2) array, got shape {vertices.shape}")
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or triangles.dtype.kind not in "iu":
+            shape = f"{triangles.dtype} of shape {triangles.shape}"
+            raise ValueError(f"triangles must be an integer (nt, 3) array, got {shape}")
+        nv = len(vertices)
+        bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=-1))
+        if bad.size:
+            t, tri = bad[0], triangles[bad[0]].tolist()
+            raise ValueError(f"triangle {t} (vertices {tri}) has an index outside [0, {nv})")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=-1))
         if bad.size:
             v = bad[0]
-            coords = tuple(self.vertices[v].tolist())
+            coords = tuple(vertices[v].tolist())
             raise ValueError(f"vertex {v} has a non-finite coordinate {coords}")
-        p = self.vertices[self.triangles]
+        p = vertices[triangles]
         e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         bad = np.flatnonzero(area2 <= _DEGENERATE_TOL * np.sum(e1 * e1 + e2 * e2, axis=-1))
         if bad.size:
             t = bad[0]
             raise ValueError(
-                f"triangle {t} (vertices {self.triangles[t].tolist()}) has zero or negative area"
+                f"triangle {t} (vertices {triangles[t].tolist()}) has zero or negative area"
             )
-        triangles, edges = _build_edges(self.vertices, self.triangles)
+        triangles, edges = _build_edges(vertices, triangles)
         if not np.any(edges.tag == EdgeTag.DIRICHLET):
             raise ValueError("mesh has no Dirichlet edge on x=0 or y=0; the SIPG form is singular")
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "h", float(edges.length.max()))

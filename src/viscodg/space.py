@@ -193,20 +193,6 @@ class DGSpace:
         vals, grads = self._side_traces
         return x, vals[rows], grads[rows] @ self.jac_inv[elems][:, None]
 
-    def interpolate(self, field) -> np.ndarray:
-        """Nodal interpolant of a callable ``field(x, y) -> (2,)-like``.
-
-        Returns the global DOF vector.
-        """
-        nb = self.dofs_per_component
-        nodes = _lattice_nodes(self.degree)
-        phys = self.v0[:, None, :] + nodes @ np.swapaxes(self.jac, 1, 2)
-        fx, fy = field(phys[..., 0], phys[..., 1])
-        out = np.empty((self.mesh.n_triangles, 2 * nb))
-        out[:, :nb] = fx
-        out[:, nb:] = fy
-        return out.ravel()
-
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the DG field at all element quadrature points, (nt, nq, 2)."""
         c = coeffs.reshape(-1, self.dofs_per_component)

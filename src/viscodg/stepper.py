@@ -202,9 +202,10 @@ def run(
     level (or None for homogeneous loads).  Each field is called once per
     time level, always at the same points (the element quadrature points,
     and those of the Neumann edges).  A field may return a
-    ``SeparableField`` instead of a pair: its spatial factors are contracted
-    with the basis once per run, and each time level only combines them with
-    its coefficients, as for ``ManufacturedCase``.  ``diagnostics(state)``
+    ``SeparableField`` instead of a pair, as ``ManufacturedCase`` does: the
+    run's load assembler evaluates its spatial fields at those points and
+    contracts them with the basis once per run, and each time level only
+    combines them with its coefficients.  ``diagnostics(state)``
     is called at every time level when given.  The form's ``StepOperator``
     (its coefficient row and factored step matrix) is built once, after the
     first ``diagnostics`` call, and reused for every step.  ``space`` and

@@ -9,7 +9,13 @@ from viscodg.assembly import assemble_system, grad_array
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
-from viscodg.space import DGSpace, edge_quadrature, reference_basis, triangle_quadrature
+from viscodg.space import (
+    DGSpace,
+    _lattice_nodes,
+    edge_quadrature,
+    reference_basis,
+    triangle_quadrature,
+)
 from viscodg.stepper import Scheme
 
 
@@ -69,6 +75,66 @@ def relaxation(m: PronyMaterial, t) -> np.ndarray | float:
         raise ValueError("relaxation time must be nonnegative")
     out = m.phi0 + sum(p * np.exp(-t / tau) for p, tau in zip(m.phis, m.taus))
     return float(out) if out.ndim == 0 else out
+
+
+def interpolate(space: DGSpace, field) -> np.ndarray:
+    """Nodal interpolant on ``space`` of a callable ``field(x, y) -> (2,)-like``.
+
+    Returns the global DOF vector.
+    """
+    nb = space.dofs_per_component
+    nodes = _lattice_nodes(space.degree)
+    phys = space.v0[:, None, :] + nodes @ np.swapaxes(space.jac, 1, 2)
+    fx, fy = field(phys[..., 0], phys[..., 1])
+    out = np.empty((space.mesh.n_triangles, 2 * nb))
+    out[:, :nb] = fx
+    out[:, nb:] = fy
+    return out.ravel()
+
+
+def forcing_values(forcing, *points):
+    """(fx, fy) at the points of a forcing closure that returns a ``SeparableField``."""
+    field = forcing(*points)
+    values = np.broadcast_arrays(*field.fields(*points))
+    return tuple(np.tensordot(field.coefficients, values, axes=1))
+
+
+# closed forms of the manufactured case that no run reads, checked below
+# against the quadrature oracles
+
+
+def _kernel_sin(t, tau):
+    """int_0^t exp(-(t-s)/tau) sin(s) ds, closed form."""
+    a = 1.0 / tau
+    return (a * np.sin(t) - np.cos(t) + np.exp(-t / tau)) / (a * a + 1.0)
+
+
+def acceleration(case: ManufacturedCase, x, y, t):
+    return x * y * np.exp(1.0 - t), -np.cos(t) * np.sin(x * y)
+
+
+def internal_displacement(case: ManufacturedCase, q, x, y, t):
+    """psi_q, the displacement-form internal variable."""
+    m = case.material
+    p, tau = m.phis[q], m.taus[q]
+    return p * x * y * case._kernel_exp(t, tau), p * np.sin(x * y) * case._kernel_cos(t, tau)
+
+
+def internal_velocity(case: ManufacturedCase, q, x, y, t):
+    """zeta_q, the velocity-form internal variable."""
+    m = case.material
+    p, tau = m.phis[q], m.taus[q]
+    z1 = -p * tau * case._kernel_exp(t, tau) * x * y
+    z2 = -p * _kernel_sin(t, tau) * np.sin(x * y)
+    return z1, z2
+
+
+def stress(case: ManufacturedCase, x, y, t):
+    """Viscoelastic stress from the displacement-form constitutive law.
+
+    Returns Voigt-free components (s11, s22, s12).
+    """
+    return case._stress(x, y, *case._time_factors(t))
 
 
 # numerical convolution oracles of the manufactured case's closed forms
@@ -194,7 +260,7 @@ def body_force_oracle(case, x, y, t):
 
 def traction_oracle(case, x, y, t, n):
     """sigma(u(t)) . n from the closed-form stress, with no boundary check."""
-    s11, s22, s12 = case.stress(x, y, t)
+    s11, s22, s12 = stress(case, x, y, t)
     n = np.asarray(n, dtype=float)
     return s11 * n[..., 0] + s12 * n[..., 1], s12 * n[..., 0] + s22 * n[..., 1]
 

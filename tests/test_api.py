@@ -1,8 +1,12 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import viscodg
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the two public entry points whose positional signatures the benchmark
 # calls; each checks that its space is the system's own
@@ -36,3 +40,19 @@ def test_only_run_and_error_norms_take_a_space_beside_a_system():
         if {"space", "system"} <= set(inspect.signature(func).parameters)
     }
     assert both == _SPACE_AND_SYSTEM
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public name that only the tests use belongs in the tests: every one
+    # must appear as a word in the package or the benchmark beyond its def
+    sources = [*(ROOT / "src" / "viscodg").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    text = "\n".join(p.read_text() for p in sources if p.name != "test_perfbench.py")
+    unused = []
+    for name, _ in _functions():
+        short = name.rsplit(".", 1)[1]
+        if short.startswith("_"):
+            continue
+        rest = re.sub(rf"\bdef {short}\b", "", text)
+        if not re.search(rf"\b{short}\b", rest):
+            unused.append(name)
+    assert unused == []

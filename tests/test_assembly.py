@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import average_jump, block_diagonal_mass, scrambled_mesh_input
+from conftest import (
+    average_jump,
+    block_diagonal_mass,
+    forcing_values,
+    interpolate,
+    scrambled_mesh_input,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,7 +73,7 @@ def test_p1_mass_block(small_setup):
 def test_mass_integrates_constant(small_setup):
     # v = w = (1, 1): v' M w = rho int (1 + 1) = 2 at rho = 1
     _, space, system = small_setup
-    ones = space.interpolate(lambda x, y: (np.ones_like(x), np.ones_like(x)))
+    ones = interpolate(space, lambda x, y: (np.ones_like(x), np.ones_like(x)))
     assert abs(ones @ (system.M @ ones) - 2.0) < 1e-13
 
 
@@ -75,17 +81,17 @@ def test_volume_stiffness_energy(case, small_setup):
     # v = (x, 0): eps = diag(1, 0), energy = int eps:eps = 1
     _, space, _ = small_setup
     A_vol = assemble_volume_stiffness(space, case.material)
-    v = space.interpolate(lambda x, y: (x, np.zeros_like(x)))
+    v = interpolate(space, lambda x, y: (x, np.zeros_like(x)))
     assert abs(v @ (A_vol @ v) - 1.0) < 1e-13
     # shear v = (y, x): eps = [[0,1],[1,0]], energy = int 2 = 2
-    v = space.interpolate(lambda x, y: (y, x))
+    v = interpolate(space, lambda x, y: (y, x))
     assert abs(v @ (A_vol @ v) - 2.0) < 1e-13
     # rigid motions carry no strain energy
     for rigid in (
         lambda x, y: (np.ones_like(x), np.zeros_like(x)),
         lambda x, y: (-y, x),
     ):
-        v = space.interpolate(rigid)
+        v = interpolate(space, rigid)
         assert abs(v @ (A_vol @ v)) < 1e-13
 
 
@@ -117,7 +123,7 @@ def test_continuous_field_has_no_jump_energy(case, quadratic_setup):
     # a continuous interpolant vanishing on the Dirichlet boundary has
     # zero penalty energy and its SIPG energy reduces to the volume term
     _, space, system = quadratic_setup
-    v = space.interpolate(lambda x, y: (x * y * (1 + x), x * y * y))
+    v = interpolate(space, lambda x, y: (x * y * (1 + x), x * y * y))
     assert abs(v @ (system.J @ v)) < 1e-12
     A_vol = assemble_volume_stiffness(space, case.material)
     assert abs(v @ (system.A @ v) - v @ (A_vol @ v)) < 1e-12
@@ -130,7 +136,7 @@ def test_translation_penalty_energy(case):
         mesh = build_structured_mesh(n)
         space = DGSpace.build(mesh, 1)
         system = assemble_system(space, case.material, alpha0=10.0)
-        v = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+        v = interpolate(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         n_dirichlet = np.sum(mesh.edges.tag == EdgeTag.DIRICHLET)
         assert n_dirichlet == 2 * n
         expected = 10.0 * n_dirichlet
@@ -159,7 +165,7 @@ def test_penalty_scaling_linearity(case, small_setup):
 
 def test_average_jump_continuous_field(case, small_setup):
     mesh, space, _ = small_setup
-    v = space.interpolate(lambda x, y: (x + 2 * y, 3 * x - y))
+    v = interpolate(space, lambda x, y: (x + 2 * y, 3 * x - y))
     for e in range(len(mesh.edges)):
         avg, jump, jump_outer = average_jump(space, v, e)
         if mesh.edges.tag[e] == EdgeTag.INTERIOR:
@@ -172,7 +178,7 @@ def test_average_jump_continuous_field(case, small_setup):
 def test_average_jump_discontinuous_field(small_setup):
     # perturb one element and check the interior jump picks up the difference
     mesh, space, _ = small_setup
-    v = space.interpolate(lambda x, y: (x, y))
+    v = interpolate(space, lambda x, y: (x, y))
     v2 = v.copy()
     t = 0
     nb = space.dofs_per_component
@@ -188,7 +194,7 @@ def test_average_jump_discontinuous_field(small_setup):
 def test_load_vector_sums(small_setup):
     _, space, _ = small_setup
     F = LoadAssembler(space).assemble(f=lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-    ones_x = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    ones_x = interpolate(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     assert abs(F @ ones_x - 1.0) < 1e-13  # int_Omega 1
     G = LoadAssembler(space).assemble(g_N=lambda x, y, n: (np.ones_like(x), np.zeros_like(x)))
     assert abs(G @ ones_x - 2.0) < 1e-13  # |Gamma_N| = 2
@@ -204,7 +210,7 @@ def test_neumann_flux_balance(case, small_setup):
         return n[..., 0], np.zeros(np.broadcast_shapes(np.shape(x), n[..., 0].shape))
 
     G = LoadAssembler(space).assemble(g_N=g)
-    ones_x = space.interpolate(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    ones_x = interpolate(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     # int over {x=1} of n_x = 1; over {y=1} n_x = 0
     assert abs(G @ ones_x - 1.0) < 1e-13
 
@@ -230,10 +236,17 @@ def test_separable_loads_match_plain_closures(k, rho, scrambled, seed, times):
     for t in times:
         got = loads.assemble(case.body_force_at(t), case.traction_at(t))
         ref = loads.assemble(
-            lambda x, y: tuple(case.body_force(x, y, t)),
-            lambda x, y, n: tuple(case.traction(x, y, t, n)),
+            lambda *points: forcing_values(case.body_force_at(t), *points),
+            lambda *points: forcing_values(case.traction_at(t), *points),
         )
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_a_separable_field_is_plain_data():
+    # no points and no array protocol: only a load assembler evaluates it
+    assert [f.name for f in dataclasses.fields(SeparableField)] == ["coefficients", "fields"]
+    with pytest.raises(TypeError):
+        tuple(SeparableField(np.ones((2, 1)), lambda x, y: (x,)))
 
 
 def test_separable_fields_callables_are_never_confused(small_setup):
@@ -252,10 +265,10 @@ def test_separable_fields_callables_are_never_confused(small_setup):
     for fields in (polynomial, trigonometric, trigonometric, polynomial):
 
         def separable(*points, fields=fields):
-            return SeparableField(coefficients, fields, points)
+            return SeparableField(coefficients, fields)
 
-        def plain(*points, fields=fields):
-            return tuple(separable(*points))
+        def plain(*points):
+            return forcing_values(separable, *points)
 
         got = loads.assemble(separable, separable)
         assert np.abs(got - loads.assemble(plain, plain)).max() <= 1e-14 * np.abs(got).max()
@@ -283,7 +296,7 @@ def test_elliptic_rhs_reproduces_polynomials(case):
 
         rhs = assemble_elliptic_rhs(system, u0, grad_u0)
         U = factor(system.A).solve(rhs)
-        assert np.abs(U - space.interpolate(u0)).max() < 1e-9
+        assert np.abs(U - interpolate(space, u0)).max() < 1e-9
 
 
 def test_grad_array_reads_the_nested_layout_only():

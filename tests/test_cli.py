@@ -184,24 +184,24 @@ def test_parse_errors():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("k = two")
     with pytest.raises(ConfigError):
-        parse_config("scheme = fast")
+        parse_config("scheme = fast").validate()
     with pytest.raises(ConfigError):
-        parse_config("k = 0")
+        parse_config("k = 0").validate()
     with pytest.raises(ConfigError):
-        parse_config("alpha0 = -1")
+        parse_config("alpha0 = -1").validate()
     with pytest.raises(ConfigError, match=r"alpha0=1e\+308 must be positive with a finite alpha0/\|e\|"):
-        parse_config("alpha0 = 1e308\nn = 2, 4")
+        parse_config("alpha0 = 1e308\nn = 2, 4").validate()
     with pytest.raises(ConfigError):
-        parse_config("dt = 0.3")  # T=1 not an integral multiple
+        parse_config("dt = 0.3").validate()  # T=1 not an integral multiple
     with pytest.raises(ConfigError):
-        parse_config("phi0 = 0.9")  # coefficients no longer sum to 1
+        parse_config("phi0 = 0.9").validate()  # coefficients no longer sum to 1
 
 
 @pytest.mark.parametrize("study", ["nope", "single", "penalty"])
 def test_unknown_study_names_the_studies(study):
     message = rf"unknown study '{study}' \(choose hconv, tconv, stability\)"
     with pytest.raises(ConfigError, match=message):
-        parse_config(f"study = {study}")
+        parse_config(f"study = {study}").validate()
 
 
 def test_hconv_study_with_one_n_prints_its_rows(tmp_path):
@@ -313,6 +313,21 @@ def test_main_flag_overrides(tmp_path):
     assert lines[1].startswith("velocity,1,2,")
 
 
+def test_main_validates_a_config_file_after_its_flags(tmp_path, capfd):
+    # two dts are wrong for the file's hconv study but right for the flag's tconv
+    cfgfile = tmp_path / "s.cfg"
+    cfgfile.write_text("study = hconv\nn = 4\ndt = 1/4, 1/8\nT = 1/4\n")
+    flags = ["--study", "tconv", "--scheme", "displacement", "--k", "1"]
+    assert main(["--config", str(cfgfile), *flags]) == 0
+    from_file = capfd.readouterr()
+    assert from_file.err == ""
+    assert main([*flags, "--n", "4", "--dt", "1/4, 1/8", "--T", "1/4"]) == 0
+    assert capfd.readouterr().out == from_file.out
+    # the file alone still fails, once the settings are checked together
+    assert main(["--config", str(cfgfile)]) == 2
+    assert "a hconv study takes one dt, got 2" in capfd.readouterr().err
+
+
 def test_main_bad_config_exit_code(tmp_path, capfd):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("k = 0\n")
@@ -324,7 +339,7 @@ def test_main_negative_final_time_exit_code(capfd):
     assert main(["--study", "hconv", "--k", "1", "--n", "2", "--dt", "1/4", "--T", "-1"]) == 2
     assert "T must be positive" in capfd.readouterr().err
     with pytest.raises(ConfigError, match="T must be positive"):
-        parse_config("T = 0")
+        parse_config("T = 0").validate()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import space_with_quadrature
+from conftest import interpolate, space_with_quadrature
 
 from viscodg.errors import NORM_NAMES, convergence_rate, error_norms
 from viscodg.manufactured import ManufacturedCase
@@ -50,8 +50,8 @@ def _state(space, U, W):
 def test_interpolant_has_zero_error(small_setup):
     _, space, system = small_setup
     case = _PolynomialCase()
-    U = space.interpolate(lambda x, y: case.displacement(x, y, 0.0))
-    W = space.interpolate(lambda x, y: case.velocity(x, y, 0.0))
+    U = interpolate(space, lambda x, y: case.displacement(x, y, 0.0))
+    W = interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
     rep = error_norms(_state(space, U, W), case, space, system, dt=0.25)
     for v in rep.as_row():
         assert v < 1e-12

@@ -131,6 +131,38 @@ def test_rejects_non_finite_vertex():
         TriMesh(vertices, m.triangles)
 
 
+@pytest.mark.parametrize("bad", [-1, -5, 9, 14])
+def test_rejects_a_vertex_index_out_of_range(bad):
+    # -1 would wrap around to the last vertex, (1, 1), which triangle 5 holds
+    m = build_structured_mesh(2)
+    triangles = m.triangles.copy()
+    triangles[5, triangles[5] == 8] = bad
+    message = rf"triangle 5 \(vertices \[.*{bad}.*\]\) has an index outside \[0, 9\)"
+    with pytest.raises(ValueError, match=message):
+        TriMesh(m.vertices, triangles)
+
+
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        (np.array([[0, 1, 4], [0, 4, 3]], dtype=float), r"integer \(nt, 3\) array, got float64"),
+        (np.array([[0, 1], [0, 4]]), r"integer \(nt, 3\) array, got int64 of shape \(2, 2\)"),
+        (np.array([0, 1, 4]), r"integer \(nt, 3\) array, got int64 of shape \(3,\)"),
+    ],
+    ids=["float", "pairs", "flat"],
+)
+def test_rejects_triangles_that_are_not_integer_triples(triangles, message):
+    m = build_structured_mesh(2)
+    with pytest.raises(ValueError, match=message):
+        TriMesh(m.vertices, triangles)
+
+
+def test_rejects_vertices_that_are_not_pairs():
+    m = build_structured_mesh(2)
+    with pytest.raises(ValueError, match=r"an \(nv, 2\) array, got shape \(9, 3\)"):
+        TriMesh(np.zeros((9, 3)), m.triangles)
+
+
 def test_rejects_zero_area_triangle():
     # triangle 1 has three collinear vertices on the diagonal
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])

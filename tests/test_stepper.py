@@ -5,7 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import block_diagonal_mass, block_step_oracle, internal_kernel_constant_history
+from conftest import (
+    block_diagonal_mass,
+    block_step_oracle,
+    internal_kernel_constant_history,
+    interpolate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,8 +221,8 @@ def test_initialize_projections(case, small_setup):
     )
     assert st.n == 0 and st.t == 0.0
     # both projections reproduce fields already in the discrete space
-    assert np.abs(st.U - space.interpolate(lambda x, y: (x + 2 * y, 3 * x - y))).max() < 1e-9
-    assert np.abs(st.W - space.interpolate(lambda x, y: (x - y, 2 * x))).max() < 1e-10
+    assert np.abs(st.U - interpolate(space, lambda x, y: (x + 2 * y, 3 * x - y))).max() < 1e-9
+    assert np.abs(st.W - interpolate(space, lambda x, y: (x - y, 2 * x))).max() < 1e-10
     assert len(st.internal) == 2
     for psi in st.internal:
         assert np.allclose(psi, 0.0)
