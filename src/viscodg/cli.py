@@ -40,8 +40,8 @@ class StudyConfig:
     study: str = "hconv"
     scheme: str = "both"
     k: int = 1
-    ns: list[int] = field(default_factory=lambda: [4])
-    dts: list[float | None] = field(default_factory=lambda: [0.25])
+    n: list[int] = field(default_factory=lambda: [4])
+    dt: list[float | None] = field(default_factory=lambda: [0.25])
     T: float | None = None  # final time, 1 if unset; a stability study sets none
     alpha0: float = 10.0
     rho: float = 1.0
@@ -54,18 +54,18 @@ class StudyConfig:
         if self.study not in _STUDIES:
             raise ConfigError(f"unknown study '{self.study}' (choose {', '.join(_STUDIES)})")
         if self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown scheme '{self.scheme}'")
+            raise ConfigError(f"unknown scheme '{self.scheme}' (choose {', '.join(_SCHEMES)})")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.T is not None and not self.T > 0:
             raise ConfigError("T must be positive")
-        if any(n < 1 for n in self.ns):
+        if any(n < 1 for n in self.n):
             raise ConfigError("mesh subdivisions must be >= 1")
         # runs() would drop all but the first n in tconv and all but the first dt elsewhere
-        if self.study != "tconv" and len(self.dts) > 1:
-            raise ConfigError(f"a {self.study} study takes one dt, got {len(self.dts)}")
-        if self.study in ("tconv", "stability") and len(self.ns) > 1:
-            raise ConfigError(f"a {self.study} study takes one n, got {len(self.ns)}")
+        if self.study != "tconv" and len(self.dt) > 1:
+            raise ConfigError(f"a {self.study} study takes one dt, got {len(self.dt)}")
+        if self.study in ("tconv", "stability") and len(self.n) > 1:
+            raise ConfigError(f"a {self.study} study takes one n, got {len(self.n)}")
         if self.study == "stability" and self.out:
             raise ConfigError("a stability study writes no CSV, so it takes no out")
         # each run of a study refines the last: the rate table needs it
@@ -74,11 +74,11 @@ class StudyConfig:
             if any(finer >= dt for dt, finer in zip(dts, dts[1:])):
                 given = ", ".join(f"{dt:g}" for dt in dts)
                 raise ConfigError(f"time steps must strictly decrease, got dt = {given}")
-        elif any(finer <= n for n, finer in zip(self.ns, self.ns[1:])):
-            given = ", ".join(map(str, self.ns))
+        elif any(finer <= n for n, finer in zip(self.n, self.n[1:])):
+            given = ", ".join(map(str, self.n))
             raise ConfigError(f"mesh subdivisions must strictly increase, got n = {given}")
         # as assemble_system does: alpha0/|e| peaks on the shortest edges, the grid spacings
-        spacing = float(np.diff(np.linspace(0.0, 1.0, max(self.ns) + 1)).min())
+        spacing = float(np.diff(np.linspace(0.0, 1.0, max(self.n) + 1)).min())
         if not 0 < self.alpha0 / spacing < np.inf:
             raise ConfigError(f"alpha0={self.alpha0} must be positive with a finite alpha0/|e|")
         horizons = _STABILITY_HORIZONS if self.study == "stability" else (self.final_time(),)
@@ -96,9 +96,9 @@ class StudyConfig:
     def runs(self) -> list[tuple[int, float]]:
         """The (n, dt) of every run of the study, with dt = h resolved to 1/n."""
         if self.study == "tconv":
-            pairs = [(self.ns[0], dt) for dt in self.dts]
+            pairs = [(self.n[0], dt) for dt in self.dt]
         else:  # dt = 1/n divides both stability horizons
-            pairs = [(n, self.dts[0]) for n in self.ns]
+            pairs = [(n, self.dt[0]) for n in self.n]
         return [(n, 1.0 / n if dt is None else dt) for n, dt in pairs]
 
     def final_time(self) -> float:
@@ -131,40 +131,39 @@ def _comma_list(parse, kind=list):
     return lambda text: kind(parse(v) for v in text.split(","))
 
 
-# config key -> (StudyConfig field, parser of the value text); every key but
-# the material's (rho, phi0, phis, taus) is also the command-line flag --key,
-# parsed alike
+# config key, also the StudyConfig field it sets -> (parser of the value text,
+# help of its command-line flag --key, parsed alike); the material's keys have
+# no flag (None), and "" is a flag without help
 _KEYS = {
-    "study": ("study", str),
-    "scheme": ("scheme", str),
-    "k": ("k", int),
-    "n": ("ns", _comma_list(int)),
-    "dt": ("dts", _comma_list(_parse_dt)),
-    "T": ("T", _parse_number),
-    "alpha0": ("alpha0", _parse_number),
-    "rho": ("rho", _parse_number),
-    "phi0": ("phi0", _parse_number),
-    "phis": ("phis", _comma_list(_parse_number, tuple)),
-    "taus": ("taus", _comma_list(_parse_number, tuple)),
-    "out": ("out", str),
+    "study": (str, ", ".join(_STUDIES)),
+    "scheme": (str, ", ".join(_SCHEMES)),
+    "k": (int, ""),
+    "n": (_comma_list(int), "mesh subdivisions, comma separated"),
+    "dt": (_comma_list(_parse_dt), "time step ('1/2048', '0.25' or 'h'), comma separated"),
+    "T": (_parse_number, ""),
+    "alpha0": (_parse_number, ""),
+    "rho": (_parse_number, None),
+    "phi0": (_parse_number, None),
+    "phis": (_comma_list(_parse_number, tuple), None),
+    "taus": (_comma_list(_parse_number, tuple), None),
+    "out": (str, "CSV output path"),
 }
 
 
 def _set(cfg: StudyConfig, key: str, value: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"unknown key '{key}'")
-    name, parse = _KEYS[key]
     try:
-        setattr(cfg, name, parse(value))
-    except (ValueError, ZeroDivisionError) as exc:
+        setattr(cfg, key, _KEYS[key][0](value))
+    except (ValueError, ArithmeticError) as exc:  # 1/0, or a fraction past the float range
         raise ConfigError(f"bad value for '{key}': {value}") from exc
 
 
 def parse_config(text: str) -> StudyConfig:
     """Parse ``key = value`` lines into a StudyConfig.
 
-    Each value is checked alone; the settings are checked together by
-    ``StudyConfig.validate``, once any command-line flags are applied.
+    Each value is checked alone; ``run_study`` checks the settings together
+    with ``StudyConfig.validate``, so command-line flags may still change them.
     """
     cfg = StudyConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,13 +180,10 @@ def parse_config(text: str) -> StudyConfig:
     return cfg
 
 
-def _discretization(cfg: StudyConfig, n: int, cache: dict):
-    """Assembled system of (cfg.k, n) on its DG space, built once per study."""
-    key = (cfg.k, n)
-    if key not in cache:
-        space = DGSpace.build(build_structured_mesh(n), cfg.k)
-        cache[key] = assemble_system(space, cfg.material(), cfg.alpha0)
-    return cache[key]
+def _discretization(cfg: StudyConfig, n: int):
+    """Assembled system of (cfg.k, n) on its DG space."""
+    space = DGSpace.build(build_structured_mesh(n), cfg.k)
+    return assemble_system(space, cfg.material(), cfg.alpha0)
 
 
 def _run_case(scheme: Scheme, system, T: float, dt: float, forced: bool, diagnostics=None):
@@ -214,25 +210,18 @@ def _run_case(scheme: Scheme, system, T: float, dt: float, forced: bool, diagnos
     return case, state
 
 
-def _run_one(cfg: StudyConfig, scheme: Scheme, n: int, dt: float, cache: dict):
-    """Solve one configuration and return its ErrorReport."""
-    system = _discretization(cfg, n, cache)
-    case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
-    return error_norms(state, case, system.space, system, dt=dt)
-
-
 def _csv_row(report, n: int) -> str:
     vals = ",".join(f"{v:.6e}" for v in report.as_row())
     return f"{report.scheme},{report.degree},{n},{report.h:.6e},{report.dt:.6e},{vals}"
 
 
-def _rate_table(rows_by_scheme: dict, scales: list[float], out) -> None:
+def _rate_table(rows_by_scheme: dict, scale: str, out) -> None:
+    """Rates between successive reports, each refined in its ``scale`` (h or dt)."""
     for scheme, reports in rows_by_scheme.items():
-        if len(reports) < 2:
-            continue
         print(f"convergence rates ({scheme.value} form):", file=out)
         header = "  ".join(f"{name:>9}" for name in NORM_NAMES)
         print(f"  {'pair':>13}  {header}", file=out)
+        scales = [getattr(r, scale) for r in reports]
         errs = np.array([r.as_row() for r in reports])
         rates = zip(*(convergence_rate(column, scales) for column in errs.T))
         for coarse, fine, row in zip(scales, scales[1:], rates):
@@ -241,69 +230,67 @@ def _rate_table(rows_by_scheme: dict, scales: list[float], out) -> None:
 
 
 def run_study(cfg: StudyConfig, out=None) -> list[str]:
-    """Execute a study; returns the CSV rows (also written to cfg.out if set).
+    """Check cfg and execute its study; returns the CSV rows (also written to cfg.out if set).
 
-    cfg is run as given: check it with ``cfg.validate()`` first, as ``main``
-    does.  cfg.out is opened before the first run: a path that cannot be written
-    raises ``ConfigError`` before any work is done.
+    Raises ``ConfigError`` before any work is done if cfg fails
+    ``cfg.validate()`` or cfg.out cannot be written.
     """
+    cfg.validate()
     if out is None:
         out = sys.stdout
-    cache: dict = {}
     csv_rows = [CSV_HEADER]
 
     if cfg.study == "stability":
-        _run_stability(cfg, out, cache)
+        _run_stability(cfg, out)
         return csv_rows
 
     runs = cfg.runs()
-    scales = [dt if cfg.study == "tconv" else np.sqrt(2.0) / n for n, dt in runs]
-
     try:
         csv_file = open(cfg.out, "w") if cfg.out else contextlib.nullcontext()
     except OSError as exc:
         raise ConfigError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
+    # validate holds a tconv study to one n: cfg.n lists the mesh of every run
+    systems = {n: _discretization(cfg, n) for n in cfg.n}
     rows_by_scheme: dict = {}
     with csv_file as fh:
         for scheme in cfg.schemes():
             reports = []
             for n, dt in runs:
-                report = _run_one(cfg, scheme, n, dt, cache)
-                reports.append(report)
-                csv_rows.append(_csv_row(report, n))
+                system = systems[n]
+                case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
+                reports.append(error_norms(state, case, system.space, system, dt=dt))
+                csv_rows.append(_csv_row(reports[-1], n))
             rows_by_scheme[scheme] = reports
         if fh is not None:
             fh.write("\n".join(csv_rows) + "\n")
     if len(runs) > 1:
-        _rate_table(rows_by_scheme, scales, out)
+        _rate_table(rows_by_scheme, "dt" if cfg.study == "tconv" else "h", out)
     else:
         print("\n".join(csv_rows), file=out)
     return csv_rows
 
 
-def _run_stability(cfg: StudyConfig, out, cache: dict) -> None:
+def _run_stability(cfg: StudyConfig, out) -> None:
     """Max-over-steps energy for T=5 and T=10 with homogeneous loads."""
     n, dt = cfg.runs()[0]
-    system = _discretization(cfg, n, cache)
+    system = _discretization(cfg, n)
     energy_matrix = assemble_volume_stiffness(system.space, system.material) + system.J
 
     short, long = _STABILITY_HORIZONS
     # the run to T=10 passes through T=5, so one run gives both peaks
     n_short = step_count(short, dt)
     for scheme in cfg.schemes():
-        maxima = {short: 0.0, long: 0.0}
+        energies = []
 
         def track(state):
-            e = float(state.W @ (system.M @ state.W) + state.U @ (energy_matrix @ state.U))
-            if state.n <= n_short:
-                maxima[short] = max(maxima[short], e)
-            maxima[long] = max(maxima[long], e)
+            e = state.W @ (system.M @ state.W) + state.U @ (energy_matrix @ state.U)
+            energies.append(float(e))
 
         _run_case(scheme, system, long, dt, forced=False, diagnostics=track)
-        ratio = maxima[long] / maxima[short]
+        peak_short, peak_long = max(energies[: n_short + 1]), max(energies)
         print(
-            f"stability ({scheme.value} form): max energy T={short:g}: {maxima[short]:.6e}  "
-            f"T={long:g}: {maxima[long]:.6e}  ratio: {ratio:.6f}",
+            f"stability ({scheme.value} form): max energy T={short:g}: {peak_short:.6e}  "
+            f"T={long:g}: {peak_long:.6e}  ratio: {peak_long / peak_short:.6f}",
             file=out,
         )
 
@@ -314,15 +301,11 @@ def main(argv=None) -> int:
         description="SIPG viscoelasticity solver: convergence and stability studies",
     )
     parser.add_argument("--config", help="path to a key = value config file")
-    # checked by validate, so an unknown study is a config error like in a file
-    parser.add_argument("--study", help=", ".join(_STUDIES))
-    parser.add_argument("--scheme", choices=_SCHEMES)
-    parser.add_argument("--k")
-    parser.add_argument("--n", help="mesh subdivisions, comma separated")
-    parser.add_argument("--dt", help="time step ('1/2048', '0.25' or 'h'), comma separated")
-    parser.add_argument("--T")
-    parser.add_argument("--alpha0")
-    parser.add_argument("--out", help="CSV output path")
+    # taken as text and checked by validate, so a bad study or scheme is a
+    # config error as in a file
+    for key, (_, text) in _KEYS.items():
+        if text is not None:
+            parser.add_argument(f"--{key}", help=text)
     args = vars(parser.parse_args(argv))
     config = args.pop("config")
 
@@ -335,7 +318,6 @@ def main(argv=None) -> int:
         for key, value in args.items():
             if value is not None:
                 _set(cfg, key, value)
-        cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -343,7 +325,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # no silent inf or nan
             run_study(cfg)
-    except ConfigError as exc:  # cfg.out cannot be written
+    except ConfigError as exc:  # cfg fails validate, or cfg.out cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ArithmeticError) as exc:  # or a float error in a run

@@ -52,10 +52,10 @@ class TriMesh:
 
     Immutable after construction; safe to share between threads.  Raises
     ValueError for vertices not (nv, 2) or with a non-finite coordinate,
-    triangles not an integer (nt, 3) array, a triangle with an index outside
-    [0, nv) or that is degenerate or clockwise (named by its given index), a
-    boundary edge off the sides of the unit square, or a mesh without
-    Dirichlet edges.
+    triangles not an integer (nt, 3) array or with no rows, a triangle with
+    an index outside [0, nv) or that is degenerate or clockwise (named by its
+    given index), a boundary edge off the sides of the unit square, or a mesh
+    without Dirichlet edges.
     """
 
     vertices: np.ndarray  # (nv, 2)
@@ -70,6 +70,8 @@ class TriMesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3 or triangles.dtype.kind not in "iu":
             shape = f"{triangles.dtype} of shape {triangles.shape}"
             raise ValueError(f"triangles must be an integer (nt, 3) array, got {shape}")
+        if not len(triangles):
+            raise ValueError("mesh has no triangles")
         nv = len(vertices)
         bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=-1))
         if bad.size:

@@ -225,10 +225,7 @@ def run(
     def load_at(t):
         f = body_force(t) if body_force is not None else None
         g = traction(t) if traction is not None else None
-        if f is None and g is None:
-            vec = np.zeros(space.total_dofs)
-        else:
-            vec = loads.assemble(f, g)
+        vec = loads.assemble(f, g)
         if scheme == Scheme.VELOCITY:
             decay = sum(
                 p * np.exp(-t / tau) for p, tau in zip(material.phis, material.taus)

@@ -40,8 +40,8 @@ def test_defaults():
     assert cfg.study == "hconv"
     assert cfg.scheme == "both"
     assert cfg.k == 1
-    assert cfg.ns == [4]
-    assert cfg.dts == [0.25]
+    assert cfg.n == [4]
+    assert cfg.dt == [0.25]
     assert cfg.alpha0 == 10.0
     m = cfg.material()
     assert m.phis == (0.1, 0.4)
@@ -65,21 +65,21 @@ def test_parse_full_config():
     assert cfg.study == "hconv"
     assert cfg.schemes() == [Scheme.DISPLACEMENT]
     assert cfg.k == 2
-    assert cfg.ns == [4, 8, 16]
-    assert cfg.dts == [1.0 / 2048.0]
+    assert cfg.n == [4, 8, 16]
+    assert cfg.dt == [1.0 / 2048.0]
     assert cfg.alpha0 == 12.5
     assert cfg.out == "results.csv"
 
 
 def test_parse_dt_h_sentinel():
     cfg = parse_config("dt = h")
-    assert cfg.dts == [None]
+    assert cfg.dt == [None]
 
 
 def test_n_and_dt_keys_take_lists_like_their_flags():
     cfg = parse_config("study = tconv\nn = 8\ndt = 1/2, 1/4, h")
-    assert (cfg.ns, cfg.dts) == ([8], [0.5, 0.25, None])
-    assert parse_config("study = hconv\nn = 2,4\ndt = 1/4").ns == [2, 4]
+    assert (cfg.n, cfg.dt) == ([8], [0.5, 0.25, None])
+    assert parse_config("study = hconv\nn = 2,4\ndt = 1/4").n == [2, 4]
 
 
 @pytest.mark.parametrize("line", ["beta0 = 1", "ns = 2, 4", "dts = 1/4"])
@@ -112,9 +112,8 @@ def _render(cfg: StudyConfig) -> str:
             return "h"  # the only None in a list is the dt = 1/n sentinel
         return repr(value) if isinstance(value, float) else str(value)
 
-    keys = {"ns": "n", "dts": "dt"}  # the two list fields
     return "\n".join(
-        f"{keys.get(f.name, f.name)} = {text(getattr(cfg, f.name))}"
+        f"{f.name} = {text(getattr(cfg, f.name))}"
         for f in dataclasses.fields(cfg)
         if getattr(cfg, f.name) is not None
     )
@@ -156,8 +155,8 @@ def _valid_configs(draw):
         study=study,
         scheme=draw(st.sampled_from(_SCHEMES)),
         k=draw(st.integers(1, 5)),
-        ns=ns,
-        dts=sorted(dts, key=resolved, reverse=True),
+        n=ns,
+        dt=sorted(dts, key=resolved, reverse=True),
         T=T,
         alpha0=draw(_floats(1e-3, 1e3)),
         rho=draw(_floats(0.1, 10.0)),
@@ -206,7 +205,7 @@ def test_unknown_study_names_the_studies(study):
 
 def test_hconv_study_with_one_n_prints_its_rows(tmp_path):
     out = tmp_path / "run.csv"
-    cfg = StudyConfig(study="hconv", scheme="both", k=1, ns=[2], dts=[0.25], out=str(out))
+    cfg = StudyConfig(study="hconv", scheme="both", k=1, n=[2], dt=[0.25], out=str(out))
     buf = io.StringIO()
     rows = run_study(cfg, out=buf)
     assert rows[0] == CSV_HEADER
@@ -223,14 +222,14 @@ def test_hconv_study_with_one_n_prints_its_rows(tmp_path):
 
 
 def test_study_is_deterministic():
-    cfg = StudyConfig(study="hconv", scheme="displacement", k=1, ns=[2], dts=[0.25])
+    cfg = StudyConfig(study="hconv", scheme="displacement", k=1, n=[2], dt=[0.25])
     rows1 = run_study(cfg, out=io.StringIO())
     rows2 = run_study(cfg, out=io.StringIO())
     assert rows1 == rows2
 
 
 def test_hconv_rate_table_and_rates():
-    cfg = StudyConfig(study="hconv", scheme="displacement", k=1, ns=[2, 4], dts=[1.0 / 64])
+    cfg = StudyConfig(study="hconv", scheme="displacement", k=1, n=[2, 4], dt=[1.0 / 64])
     buf = io.StringIO()
     rows = run_study(cfg, out=buf)
     assert "convergence rates (displacement form)" in buf.getvalue()
@@ -242,7 +241,7 @@ def test_hconv_rate_table_and_rates():
 
 def test_tconv_scales_use_dt():
     cfg = StudyConfig(
-        study="tconv", scheme="displacement", k=1, ns=[2], dts=[0.5, 0.25]
+        study="tconv", scheme="displacement", k=1, n=[2], dt=[0.5, 0.25]
     )
     buf = io.StringIO()
     rows = run_study(cfg, out=buf)
@@ -260,7 +259,7 @@ def test_stability_study_output(monkeypatch):
         return run(form, space, system, material, T, *args, **kwargs)
 
     monkeypatch.setattr("viscodg.cli.run", counted_run)
-    cfg = StudyConfig(study="stability", scheme="both", k=1, ns=[2], dts=[0.25])
+    cfg = StudyConfig(study="stability", scheme="both", k=1, n=[2], dt=[0.25])
     buf = io.StringIO()
     run_study(cfg, out=buf)
     text = buf.getvalue()
@@ -269,7 +268,7 @@ def test_stability_study_output(monkeypatch):
     assert "ratio" in text
     assert runs == [(s, 10.0) for s in cfg.schemes()]
     # the T=5 peak is the one a run that stops at T=5 sees
-    system = _discretization(cfg, 2, {})
+    system = _discretization(cfg, 2)
     space = system.space
     case = ManufacturedCase(cfg.material())
     energy = assemble_volume_stiffness(space, case.material) + system.J
@@ -354,6 +353,12 @@ def test_main_non_finite_value_exit_code(capfd, flag, value):
         _parse_number(value)
 
 
+def test_main_fraction_past_the_float_range_exit_code(capfd):
+    value = "1" + "0" * 400 + "/1"  # float() of the fraction raises OverflowError
+    assert main(["--k", "1", "--n", "2", "--dt", "1/4", "--T", value]) == 2
+    assert capfd.readouterr().err == f"config error: bad value for 'T': {value}\n"
+
+
 _REJECTED = [
     # (arguments, start of the error message)
     # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
@@ -382,14 +387,31 @@ _REJECTED = [
 ]
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started for a config that fails its checks")
+
+
 @pytest.mark.parametrize("args, message", _REJECTED, ids=[args for args, _ in _REJECTED])
 def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
-    def no_study(cfg, out=None):
-        raise AssertionError("study started for a config whose runs would fail")
-
-    monkeypatch.setattr("viscodg.cli.run_study", no_study)
+    monkeypatch.setattr("viscodg.cli.run", _no_run)
     assert main(args.split()) == 2
     assert f"config error: {message}" in capfd.readouterr().err
+
+
+def test_main_rejects_an_unknown_scheme_as_a_config_error(capfd, monkeypatch):
+    # no argparse choices: validate checks the scheme, as it does in a file
+    monkeypatch.setattr("viscodg.cli.run", _no_run)
+    assert main(["--scheme", "fast", "--k", "1", "--n", "2", "--dt", "1/4"]) == 2
+    message = "config error: unknown scheme 'fast' (choose displacement, velocity, both)"
+    assert capfd.readouterr().err.splitlines() == [message]
+
+
+def test_run_study_checks_its_config_before_any_run(monkeypatch):
+    # a library caller need not validate: run_study would drop all but one dt
+    monkeypatch.setattr("viscodg.cli.run", _no_run)
+    cfg = parse_config("study = hconv\nn = 4\ndt = 1/4, 1/8\nT = 1/4")
+    with pytest.raises(ConfigError, match="a hconv study takes one dt, got 2"):
+        run_study(cfg, out=io.StringIO())
 
 
 def test_readme_command_lines_pass_the_config_checks(tmp_path, capfd, monkeypatch):
@@ -407,7 +429,12 @@ def test_readme_command_lines_pass_the_config_checks(tmp_path, capfd, monkeypatc
     (tmp_path / "study.cfg").write_text(config)
     monkeypatch.chdir(tmp_path)
     studies = []
-    monkeypatch.setattr("viscodg.cli.run_study", lambda cfg, out=None: studies.append(cfg))
+
+    def checked_study(cfg, out=None):
+        cfg.validate()  # as run_study does before any run
+        studies.append(cfg)
+
+    monkeypatch.setattr("viscodg.cli.run_study", checked_study)
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, (command, capfd.readouterr().err)
     assert len(studies) == len(commands)

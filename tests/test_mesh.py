@@ -163,6 +163,16 @@ def test_rejects_vertices_that_are_not_pairs():
         TriMesh(np.zeros((9, 3)), m.triangles)
 
 
+def test_rejects_a_mesh_without_triangles_or_vertices():
+    m = build_structured_mesh(2)
+    no_triangles = np.zeros((0, 3), dtype=np.int64)
+    for vertices in (m.vertices, np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="mesh has no triangles"):
+            TriMesh(vertices, no_triangles)
+    with pytest.raises(ValueError, match=r"triangle 0 \(vertices .*\) has an index outside \[0, 0\)"):
+        TriMesh(np.zeros((0, 2)), m.triangles)
+
+
 def test_rejects_zero_area_triangle():
     # triangle 1 has three collinear vertices on the diagonal
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
