@@ -17,21 +17,31 @@ BSR matrix and then CSR.  M's blocks are rho det_t times the reference mass
 block, so its CSR arrays are written from that block's nonzeros (i, j), which
 also place M's entries in A: A keeps a zero where J or M has an entry.  A step
 matrix c_M M + c_A A + c_J J (``AssembledSystem.combine``) is then one new
-data vector that shares A's index arrays.  On an affine triangle the element
-stiffness is quadratic in the inverse Jacobian,
+data vector that shares A's index arrays.
+
+Volume and edge blocks are geometry times reference tables.  On an affine
+triangle the element stiffness is quadratic in the inverse Jacobian,
 K_t = det_t sum Jinv_ab Jinv_cd R[ab, cd],
 with R a (16, nd^2) reference tensor tabulated once from the reference
-gradients, D and the weights; all elements then take one matrix product.
-Edge and load sums are batched matrix products with the weights folded into
-one operand.  Every quadrature sum is a BLAS product: a multi-operand einsum
+gradients, D and the weights; all elements then take one matrix product.  An
+edge meets each triangle on one of the 6 directed sides of the reference
+triangle (its side row), so the traction term of a test row r and a trial row
+s is |e| Jinv_pb n_a (8 numbers) times a table C[r, s] (8, nd^2), and the
+penalty is alpha0 times the reference edge mass P[r, s] (nb, nb), with no
+per-edge quadrature.  A triangle meets each side row at most once: the
+diagonal edge blocks of all triangles are one (nt, 48) @ (48, nd^2) product
+plus its transpose, and the couplings of the interior edges one product per
+pair of side rows.
+Load sums are batched matrix products with the weights folded into one
+operand.  Every quadrature sum is a BLAS product: a multi-operand einsum
 without ``optimize`` runs as nested C loops, and with ``optimize=True`` its
 intermediates raise the peak memory of assembly.
 
-Blocks are summed in a fixed order (volume, the consistency terms of the
-interior and then the Dirichlet edges, then the penalty matrix J), so
-assembling twice with the same BLAS gives identical matrices.  Against a triplet sum the values
-differ in the last bits, and entries that cancel may keep a round-off
-residue (about 1e-16 max|A|) instead of an exact zero.
+Blocks are summed in a fixed order (edge consistency terms, then volume, then
+the penalty matrix J), so assembling twice with the same BLAS gives identical
+matrices.  Against a per-edge quadrature and triplet sum the values differ in
+the last bits, and entries that cancel may keep a round-off residue (about
+1e-16 max|A|) instead of an exact zero.
 
 A ``LoadAssembler`` holds the quadrature points of one space.  A forcing
 given there as a ``SeparableField``, coefficients times spatial fields, has
@@ -53,11 +63,6 @@ from .space import DGSpace
 def stress(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Stresses (..., 2, 2) of displacement gradients (..., 2, 2)."""
     return (g.reshape(g.shape[:-2] + (4,)) @ D.reshape(4, 4).T).reshape(g.shape)
-
-
-def _incidence_sum(P: sp.csr_matrix, blocks: np.ndarray) -> np.ndarray:
-    """Blocks (n, nd, nd) summed by a sparse (n, len(blocks)) incidence matrix."""
-    return (P @ blocks.reshape(len(blocks), -1)).reshape((P.shape[0],) + blocks.shape[1:])
 
 
 def _componentwise(block: np.ndarray) -> np.ndarray:
@@ -95,46 +100,74 @@ def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr
     return mat
 
 
-def _edge_blocks(space: DGSpace, D: np.ndarray, ids: np.ndarray, arity: int, alpha0: float):
-    """Consistency and penalty blocks of the edges ``ids``, all of one arity.
+def _edge_blocks(
+    space: DGSpace, D: np.ndarray, alpha0: float, interior: np.ndarray, dirichlet: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consistency blocks (nt + ni, nd, nd) and scalar penalty blocks (nt + ni, nb, nb).
 
-    Yields (test side r, trial side s >= r, consistency, penalty): the blocks
-    (ne, nd, nd) of -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n],
-    and the scalar blocks (ne, nb, nb) of alpha0 / |e| int [v] . [w],
-    which act on each displacement component alone; those of (s, r) are
-    their transposes.
+    First the diagonal block of each triangle, summed over its interior and
+    Dirichlet sides, then the (side 0, side 1) coupling block of each interior
+    edge; those of (side 1, side 0) are their transposes.  The consistency
+    terms are -int {D eps(w)} : [v (x) n] - int {D eps(v)} : [w (x) n] and the
+    penalty, which acts on each displacement component alone, is
+    alpha0 / |e| int [v] . [w].  With v on side row r and w on side row s,
+    int v_i traction_z(e_c phi_j) over an edge is |e| Jinv_pb n_a times the
+    reference table C[r, s][(p, a, b), (z, i, c, j)] =
+    sum_q w_q v_i G_jp D[z, a, c, b], and alpha0 / |e| int v_i w_j is alpha0
+    times the reference edge mass P[r, s][i, j] = sum_q w_q v_i w_j.
     """
     edges = space.mesh.edges
-    nb, nd = space.dofs_per_component, space.dofs_per_element
-    ne = len(ids)
-    length = edges.length[ids]
-    wl = space.edge_weights[None, :] * length[:, None]  # (ne, nqe)
-    pen = alpha0 / length
-    # normal-contracted tensor: traction_z of the gradient e_c (x) e_b, as [e, b, (z, c)]
-    Dn = (edges.normal[ids] @ D.transpose(1, 3, 0, 2).reshape(2, 8)).reshape(ne, 2, 4)
-    signs = (1.0, -1.0)[:arity]
-    cavg = 0.5 if arity == 2 else 1.0
+    nt, nb, nd = space.mesh.n_triangles, space.dofs_per_component, space.dofs_per_element
+    vals, grads = space._side_traces  # (6, nqe, nb), (6, nqe, nb, 2)
+    nq = len(space.edge_weights)
+    wv = (vals * space.edge_weights[:, None]).transpose(0, 2, 1).reshape(6 * nb, nq)
+    P = (wv @ vals.transpose(1, 0, 2).reshape(nq, 6 * nb)).reshape(6, nb, 6, nb)
+    aP = alpha0 * P.transpose(0, 2, 1, 3)  # alpha0 P[r, s][i, j]
+    S = (wv @ grads.transpose(1, 0, 2, 3).reshape(nq, -1)).reshape(6, nb, 6, nb, 2)
+    C = np.multiply.outer(S, D)  # [r, i, s, j, p, z, a, c, b]
+    C = C.transpose(0, 2, 4, 6, 8, 5, 1, 7, 3).reshape(6, 6, 8, nd, nd)
+    swap = np.swapaxes(C, 3, 4).reshape(6, 6, 8, nd * nd)  # the transposed blocks
+    C = C.reshape(6, 6, 8, nd * nd)
 
-    vals, wvals, tractions = [], [], []
-    for side in range(arity):
-        _, v, g = space.edge_traces(ids, side)  # (ne, nqe, nb), (ne, nqe, nb, 2)
-        nq = v.shape[1]
-        t = (g.reshape(ne, nq * nb, 2) @ Dn).reshape(ne, nq, nb, 2, 2)
-        vals.append(v)
-        wvals.append(np.swapaxes(v * wl[:, :, None], 1, 2))  # (ne, nb, nqe)
-        tractions.append(t.transpose(0, 1, 3, 4, 2).reshape(ne, nq, 2 * nd))  # [q, (z, c, j)]
+    def geometry(ids, side):
+        """|e| Jinv_pb n_a (ne, 8) of the edges ``ids`` on one side, as (p, a, b)."""
+        jinv = space.jac_inv[edges.elems[ids, side]]
+        g = edges.length[ids, None, None, None] * jinv[:, :, None, :]
+        return (g * edges.normal[ids][:, None, :, None]).reshape(len(ids), 8)
 
-    def t1(r, s):
-        """[(z, i), (c, j)]: int v_i traction_z(e_c phi_j), test side r, trial side s."""
-        t = (wvals[r] @ tractions[s]).reshape(ne, nb, 2, nd).transpose(0, 2, 1, 3)
-        return t.reshape(ne, nd, nd)
+    consist = np.empty((nt + len(interior), nd, nd))
+    penalty = np.empty((nt + len(interior), nb, nb))
+    # a triangle meets each side row at most once, so its diagonal terms are
+    # one row of 6 x 8 coefficients, weighted -1/2, +1/2 and -1 by the average
+    # and the jump sign of each side
+    coef = np.zeros((nt, 6, 8))
+    on = np.zeros((nt, 6))
+    inner = [geometry(interior, 0), geometry(interior, 1)]
+    for ids, side, weight, g in (
+        (interior, 0, -0.5, inner[0]),
+        (interior, 1, 0.5, inner[1]),
+        (dirichlet, 0, -1.0, geometry(dirichlet, 0)),
+    ):
+        elems, rows = edges.elems[ids, side], space._edge_trace_row[ids, side]
+        coef[elems, rows] = weight * g
+        on[elems, rows] = 1.0
+    r = np.arange(6)
+    diag = (coef.reshape(nt, 48) @ C[r, r].reshape(48, nd * nd)).reshape(nt, nd, nd)
+    consist[:nt] = diag + np.swapaxes(diag, 1, 2)  # exactly symmetric
+    penalty[:nt] = (on @ aP[r, r].reshape(6, nb * nb)).reshape(nt, nb, nb)
 
-    for r in range(arity):
-        for s in range(r, arity):
-            consist = (-cavg * signs[r]) * t1(r, s)
-            consist -= (cavg * signs[s]) * np.swapaxes(t1(s, r), 1, 2)
-            p = (signs[r] * signs[s] * pen)[:, None, None] * (wvals[r] @ vals[s])
-            yield r, s, consist, p
+    # interior couplings, one product per pair of side rows:
+    # -1/2 t(side 0, side 1) + 1/2 t(side 1, side 0)^T
+    rows = space._edge_trace_row[interior]
+    penalty[nt:] = -aP[rows[:, 0], rows[:, 1]]
+    coupling = np.concatenate(inner[::-1], axis=1)  # (ni, 16)
+    key = 6 * rows[:, 0] + rows[:, 1]
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        r0, r1 = rows[group[0]]
+        table = np.concatenate([-0.5 * C[r0, r1], 0.5 * swap[r1, r0]])
+        consist[nt + group] = (coupling[group] @ table).reshape(-1, nd, nd)
+    return consist, penalty
 
 
 def assemble_system(
@@ -167,26 +200,16 @@ def assemble_system(
     slot[order] = np.arange(len(order))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nt))])
     indices = cols[order]
-    diag, upper, lower = np.split(slot, [nt, nt + len(interior)])
+    diag, lower = slot[:nt], slot[nt + len(interior) :]
 
-    a_data = np.zeros((len(slot), nd, nd))
-    penalties = np.zeros((len(slot), nd // 2, nd // 2))  # J's blocks, per component
-    a_data[diag] = _volume_blocks(space, D)
-    for ids, arity in ((interior, 2), (dirichlet, 1)):
-        for r, s, consist, penalty in _edge_blocks(space, D, ids, arity, alpha0):
-            if r == s:
-                # a triangle is side r of several edges: sum by an incidence product
-                elems = edges.elems[ids, r]
-                ones = np.ones(len(ids))
-                P = sp.csr_matrix((ones, (elems, np.arange(len(ids)))), shape=(nt, len(ids)))
-                a_data[diag] += _incidence_sum(P, consist)
-                penalties[diag] += _incidence_sum(P, penalty)
-            else:
-                a_data[upper] = consist
-                a_data[lower] = np.swapaxes(consist, 1, 2)
-                penalties[upper] = penalty
-                penalties[lower] = np.swapaxes(penalty, 1, 2)
-            del consist, penalty  # freed before the generator builds the next pair
+    a_data = np.empty((len(slot), nd, nd))
+    penalties = np.empty((len(slot), nd // 2, nd // 2))  # J's blocks, per component
+    consist, penalty = _edge_blocks(space, D, alpha0, interior, dirichlet)
+    for data, blocks in ((a_data, consist), (penalties, penalty)):
+        data[slot[: len(blocks)]] = blocks  # the diagonal, then (i, j)
+        data[lower] = np.swapaxes(blocks[nt:], 1, 2)
+    del consist, penalty  # freed before the BSR conversions
+    a_data[diag] += _volume_blocks(space, D)
     j_data = _componentwise(penalties)
     del penalties
     a_data += j_data

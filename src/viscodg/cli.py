@@ -137,11 +137,11 @@ def _comma_list(parse, kind=list):
 _KEYS = {
     "study": (str, ", ".join(_STUDIES)),
     "scheme": (str, ", ".join(_SCHEMES)),
-    "k": (int, ""),
+    "k": (int, "polynomial degree of the DG space"),
     "n": (_comma_list(int), "mesh subdivisions, comma separated"),
     "dt": (_comma_list(_parse_dt), "time step ('1/2048', '0.25' or 'h'), comma separated"),
-    "T": (_parse_number, ""),
-    "alpha0": (_parse_number, ""),
+    "T": (_parse_number, "final time (default 1)"),
+    "alpha0": (_parse_number, "SIPG penalty alpha0 (default 10)"),
     "rho": (_parse_number, None),
     "phi0": (_parse_number, None),
     "phis": (_comma_list(_parse_number, tuple), None),

@@ -108,14 +108,18 @@ def _build_edges(vertices: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarra
     """The triangles renumbered in elimination order, and the edges in that numbering."""
     # side a of every triangle joins local vertices a and a+1 (mod 3)
     sides = np.sort(np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1), axis=-1)
-    pairs, edge_of_side, counts = np.unique(
-        sides.reshape(-1, 2), axis=0, return_inverse=True, return_counts=True
+    # one key a nv + b per sorted vertex pair (a, b) sorts as the pairs do
+    nv = len(vertices)
+    ends = sides.reshape(-1, 2).astype(np.int64)
+    keys, edge_of_side, counts = np.unique(
+        ends[:, 0] * nv + ends[:, 1], return_inverse=True, return_counts=True
     )
+    pairs = np.stack(np.divmod(keys, nv), axis=-1).astype(triangles.dtype)
     if counts.max() > 2:
         e = int(np.argmax(counts))
         raise ValueError(f"edge {tuple(pairs[e].tolist())} shared by {counts[e]} triangles")
 
-    owner = np.argsort(edge_of_side.ravel()) // 3
+    owner = np.argsort(edge_of_side) // 3
     first = np.cumsum(counts) - counts
     interior = counts == 2
     neighbours = np.stack([owner[first[interior]], owner[first[interior] + 1]], axis=-1)

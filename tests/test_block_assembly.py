@@ -13,7 +13,7 @@ from viscodg.assembly import (
     assemble_volume_stiffness,
 )
 from viscodg.material import PronyMaterial
-from viscodg.mesh import TriMesh
+from viscodg.mesh import EdgeTag, TriMesh
 from viscodg.space import DGSpace
 from viscodg.stepper import Scheme, StepOperator
 
@@ -87,6 +87,26 @@ def test_block_assembly_matches_reference(case, k, n, isotropic, seed):
     }
     for name, new in vectors.items():
         assert np.abs(new - ref[name]).max() <= 1e-14 * np.abs(ref[name]).max(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_each_triangle_meets_each_side_row_at_most_once(k, n, seed):
+    # the diagonal edge terms are written into one (triangle, side row) table
+    # by assignment, which sums nothing: the pairs of interior side 0,
+    # interior side 1 and the Dirichlet sides must all differ
+    space = DGSpace.build(TriMesh(*scrambled_mesh_input(n, np.random.default_rng(seed))), k)
+    edges = space.mesh.edges
+    interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
+    dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
+    pairs = np.concatenate(
+        [
+            np.stack([edges.elems[ids, side], space._edge_trace_row[ids, side]], axis=-1)
+            for ids, side in ((interior, 0), (interior, 1), (dirichlet, 0))
+        ]
+    )
+    assert len(np.unique(pairs, axis=0)) == len(pairs) == 2 * len(interior) + len(dirichlet)
+    assert np.all((0 <= pairs[:, 1]) & (pairs[:, 1] < 6))
 
 
 def _relative_asymmetry(m):

@@ -526,6 +526,21 @@ def test_main_has_no_material_flags(capfd, monkeypatch, key):
     assert f"unrecognized arguments: --{key} 2" in capfd.readouterr().err
 
 
+def test_help_describes_every_flag(capfd):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capfd.readouterr().out.split())  # argparse wraps its help lines
+    for flag, text in (
+        ("--k K", "polynomial degree of the DG space"),
+        ("--T T", "final time (default 1)"),
+        ("--alpha0 ALPHA0", "SIPG penalty alpha0 (default 10)"),
+    ):
+        assert f"{flag} {text}" in out, flag
+    for key, (_, help_text) in _KEYS.items():
+        assert help_text != "", key  # a flag listed bare says nothing
+
+
 def test_main_missing_config_file(capfd):
     assert main(["--config", "/no/such/file.cfg"]) == 2
     capfd.readouterr()
