@@ -16,13 +16,14 @@ followed by the recurrence z_q <- a_q z_q + r_q (U1 + s U0), with
     b_q = phi_q dt / (2 tau_q + dt),
     c_q = 2 tau_q phi_q / (2 tau_q + dt).
 
-The two forms differ only in their coefficients.  A ``StepOperator`` holds
-one form's row at one dt together with its factored K, and is built once per
-run:
+The two forms differ only in their rows below.  They share gamma and so K,
+as b_q + c_q = phi_q and phi0 + sum_q phi_q = 1 make 1 - sum_q b_q = gamma.
+A ``StepOperator`` holds K for one system and dt, and serves both forms:
 
-    form          z_q    gamma             u_w                   s    r_q
-    displacement  psi_q  1 - sum_q b_q     gamma/2               +1   b_q
-    velocity      S_q    phi0 + sum_q c_q  gamma/2 - sum_q c_q   -1   c_q
+    both forms    gamma = phi0 + sum_q c_q, one K
+    form          z_q    u_w                   s    r_q
+    displacement  psi_q  gamma/2               +1   b_q
+    velocity      S_q    gamma/2 - sum_q c_q   -1   c_q
 
 The velocity scheme's exp-decaying load term in u0 is applied as A @ U0,
 which is exact because U0 is the elliptic projection of u0.
@@ -59,41 +60,37 @@ class State:
 
 @dataclass(frozen=True)
 class StepOperator:
-    """One form's Crank-Nicolson step at one dt on one system.
+    """The Crank-Nicolson step matrix K of one system at one dt, valid for both forms.
 
-    Holds the form's row of the coefficient table in the module docstring
-    and the factorization of its step matrix K, so the two cannot disagree.
-    K is built by ``AssembledSystem.combine``: a new data vector on the
-    index arrays of the system's A, which must never be changed in place.
+    Holds gamma, each form's row of the coefficient table in the module
+    docstring and the factorization of K, so they cannot disagree.  K is built
+    by ``AssembledSystem.combine``: a new data vector on the index arrays of
+    the system's A, which must never be changed in place.
     """
 
     system: AssembledSystem
-    scheme: Scheme
     dt: float
     a: np.ndarray  # a_q
-    rate: np.ndarray  # r_q
     gamma: float
-    u_weight: float
-    sign: float
+    rows: dict[Scheme, tuple[np.ndarray, float, float]]  # (r_q, u_w, s) per form
     K: Factorization
 
     @classmethod
-    def build(cls, system: AssembledSystem, scheme: Scheme, dt: float) -> "StepOperator":
+    def build(cls, system: AssembledSystem, dt: float) -> "StepOperator":
         _check_time_step(dt)
         material = system.material
         taus = np.array(material.taus)
         phis = np.array(material.phis)
         a = (2 * taus - dt) / (2 * taus + dt)
-        if scheme == Scheme.DISPLACEMENT:
-            rate = phis * dt / (2 * taus + dt)
-            gamma = 1.0 - rate.sum()
-            u_weight, sign = gamma / 2.0, 1.0
-        else:
-            rate = 2 * taus * phis / (2 * taus + dt)
-            gamma = material.phi0 + rate.sum()
-            u_weight, sign = gamma / 2.0 - rate.sum(), -1.0
+        b = phis * dt / (2 * taus + dt)
+        c = 2 * taus * phis / (2 * taus + dt)
+        gamma = material.phi0 + c.sum()
+        rows = {
+            Scheme.DISPLACEMENT: (b, gamma / 2.0, 1.0),
+            Scheme.VELOCITY: (c, gamma / 2.0 - c.sum(), -1.0),
+        }
         K = factor(system.combine(2.0 / dt**2, gamma / 2.0, 1.0 / dt))
-        return cls(system, scheme, dt, a, rate, gamma, u_weight, sign, K)
+        return cls(system, dt, a, gamma, rows, K)
 
 
 def initialize(system: AssembledSystem, u0, grad_u0, w0, scheme: Scheme) -> State:
@@ -105,7 +102,8 @@ def initialize(system: AssembledSystem, u0, grad_u0, w0, scheme: Scheme) -> Stat
     if u0 is None:
         U = np.zeros(space.total_dofs)
     else:
-        U = factor(system.A).solve(assemble_elliptic_rhs(system, u0, grad_u0))
+        rhs = assemble_elliptic_rhs(system, u0, grad_u0)
+        U = factor(system.A).solve(rhs)
     if w0 is None:
         W = np.zeros(space.total_dofs)
     else:
@@ -118,19 +116,17 @@ def initialize(system: AssembledSystem, u0, grad_u0, w0, scheme: Scheme) -> Stat
 
 def _step(state: State, op: StepOperator, f_avg: np.ndarray, scheme: Scheme) -> State:
     """One Crank-Nicolson step of either form: one product each with M, A and J."""
-    if state.scheme != scheme or op.scheme != scheme:
-        raise ValueError(
-            f"a {scheme.value} step got a {state.scheme.value} state"
-            f" and a {op.scheme.value} operator"
-        )
+    if state.scheme != scheme:
+        raise ValueError(f"a {scheme.value} step got a {state.scheme.value} state")
     if len(state.internal) != len(op.a):
         raise ValueError(
             f"the state has {len(state.internal)} internal variables, the operator {len(op.a)}"
         )
     system, dt = op.system, op.dt
-    stiff = -op.u_weight * state.U
+    rate, u_weight, sign = op.rows[state.scheme]
+    stiff = -u_weight * state.U
     for a_q, z in zip(op.a, state.internal):
-        stiff += (op.sign * 0.5 * (1.0 + a_q)) * z
+        stiff += (sign * 0.5 * (1.0 + a_q)) * z
     rhs = (
         f_avg
         + system.M @ ((2.0 / dt**2) * state.U + (2.0 / dt) * state.W)
@@ -139,16 +135,16 @@ def _step(state: State, op: StepOperator, f_avg: np.ndarray, scheme: Scheme) -> 
     )
     U1 = op.K.solve(rhs)
     W1 = (2.0 / dt) * (U1 - state.U) - state.W
-    increment = U1 + op.sign * state.U
-    internal = [a_q * z + r_q * increment for a_q, r_q, z in zip(op.a, op.rate, state.internal)]
+    increment = U1 + sign * state.U
+    internal = [a_q * z + r_q * increment for a_q, r_q, z in zip(op.a, rate, state.internal)]
     return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)
 
 
 def step_displacement(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
     """One Crank-Nicolson step of the displacement-form scheme.
 
-    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2; the state and ``op``
-    must both belong to the displacement form.
+    ``f_avg`` is the averaged load (F^{n+1} + F^n)/2; the state must belong
+    to the displacement form.
     """
     return _step(state, op, f_avg, Scheme.DISPLACEMENT)
 
@@ -157,7 +153,7 @@ def step_velocity(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
     """One Crank-Nicolson step of the velocity-form scheme.
 
     ``f_avg`` must already include the exp-decaying a(u0, v) load term; the
-    state and ``op`` must both belong to the velocity form.
+    state must belong to the velocity form.
     """
     return _step(state, op, f_avg, Scheme.VELOCITY)
 
@@ -177,7 +173,7 @@ def step_count(T: float, dt: float) -> int:
     if T < 0:
         raise ValueError(f"final time T={T} is negative")
     n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
+    if abs(n_steps * dt - T) > 1e-12 * T:
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
     return n_steps
 
@@ -206,8 +202,8 @@ def run(
     run's load assembler evaluates its spatial fields at those points and
     contracts them with the basis once per run, and each time level only
     combines them with its coefficients.  ``diagnostics(state)``
-    is called at every time level when given.  The form's ``StepOperator``
-    (its coefficient row and factored step matrix) is built once, after the
+    is called at every time level when given.  The ``StepOperator`` (the
+    coefficients and factored step matrix at dt) is built once, after the
     first ``diagnostics`` call, and reused for every step.  ``space`` and
     ``material`` must be the ones ``system`` was assembled with (the space
     the same object, ``system.space``), or ``ValueError`` is raised.
@@ -240,7 +236,7 @@ def run(
 
     if diagnostics is not None:
         diagnostics(state)
-    op = StepOperator.build(system, scheme, dt)
+    op = StepOperator.build(system, dt)
     for n in range(n_steps):
         f_next = load_at((n + 1) * dt)
         state = step(state, op, 0.5 * (f_prev + f_next))

@@ -361,8 +361,10 @@ def test_main_fraction_past_the_float_range_exit_code(capfd):
 
 _REJECTED = [
     # (arguments, start of the error message)
-    # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * max(T, 1)
+    # T/dt is within 1e-9 of 3 steps but not within run's 1e-12 * T
     ("--study hconv --scheme displacement --k 1 --n 2 --dt 0.333333333334 --T 1", "T="),
+    # no number of steps reaches T: 0 steps of 1/4 fall 1e-300 short
+    ("--study hconv --k 1 --n 2 --dt 1/4 --T 1e-300", "T="),
     # the single study is folded into hconv: the old command is refused, not run
     ("--study single --scheme displacement --k 1 --n 2 --dt 1/4 --T 1", "unknown study 'single'"),
     # dt = h = 1/3 does not divide T

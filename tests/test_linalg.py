@@ -6,7 +6,7 @@ from viscodg.assembly import assemble_system
 from viscodg.linalg import SolverError, factor, minimum_degree_order
 from viscodg.mesh import build_structured_mesh
 from viscodg.space import DGSpace
-from viscodg.stepper import Scheme, StepOperator
+from viscodg.stepper import StepOperator
 
 
 def _random_spd(n, rng):
@@ -99,7 +99,7 @@ def test_element_order_cuts_fill(case):
     # ordering of the DOF graph, which fills 1.29e6 for K and 6.96e6 for A here
     space = DGSpace.build(build_structured_mesh(16), 2)
     system = assemble_system(space, case.material, alpha0=10.0)
-    op = StepOperator.build(system, Scheme.DISPLACEMENT, 1.0 / 8)
+    op = StepOperator.build(system, 1.0 / 8)
     assert _lu_fill(op.K) <= 1.05e6
 
     space = DGSpace.build(build_structured_mesh(16), 3)

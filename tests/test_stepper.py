@@ -11,7 +11,7 @@ from conftest import (
     internal_kernel_constant_history,
     interpolate,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscodg.assembly import (
@@ -21,7 +21,7 @@ from viscodg.assembly import (
     assemble_volume_stiffness,
 )
 from viscodg.linalg import Factorization, factor
-from viscodg.manufactured import ManufacturedCase
+from viscodg.manufactured import ManufacturedCase, benchmark_material
 from viscodg.material import PronyMaterial
 from viscodg.mesh import build_structured_mesh
 from viscodg.space import DGSpace
@@ -73,29 +73,62 @@ def test_scheme_coefficients(case, material, any_dt):
     a = (2 * taus - dt) / (2 * taus + dt)
     b = phis * dt / (2 * taus + dt)
     c = 2 * taus * phis / (2 * taus + dt)
-    disp = StepOperator.build(system, Scheme.DISPLACEMENT, dt)
-    vel = StepOperator.build(system, Scheme.VELOCITY, dt)
-    for op, scheme in ((disp, Scheme.DISPLACEMENT), (vel, Scheme.VELOCITY)):
-        assert op.scheme == scheme and op.dt == dt and op.system is system
-        assert np.allclose(op.a, a)
+    op = StepOperator.build(system, dt)
+    assert op.dt == dt and op.system is system
+    assert np.allclose(op.a, a)
+    # the one gamma is both forms' gamma: 1 - sum_q b_q and phi0 + sum_q c_q
+    assert abs(op.gamma - (1.0 - b.sum())) < 1e-15
+    assert abs(op.gamma - (0.5 + c.sum())) < 1e-15
     # the rows of the coefficient table in the module docstring
-    assert np.allclose(disp.rate, b)
-    assert abs(disp.gamma - (1.0 - b.sum())) < 1e-15
-    assert abs(disp.u_weight - disp.gamma / 2.0) < 1e-15
-    assert disp.sign == 1.0
-    assert np.allclose(vel.rate, c)
-    assert abs(vel.gamma - (0.5 + c.sum())) < 1e-15
-    assert abs(vel.u_weight - (vel.gamma / 2.0 - c.sum())) < 1e-15
-    assert vel.sign == -1.0
-    # both effective stiffnesses, every rate and every decay factor stay in
+    rate, u_weight, sign = op.rows[Scheme.DISPLACEMENT]
+    assert np.allclose(rate, b) and abs(u_weight - op.gamma / 2.0) < 1e-15 and sign == 1.0
+    rate, u_weight, sign = op.rows[Scheme.VELOCITY]
+    assert np.allclose(rate, c) and abs(u_weight - (op.gamma / 2.0 - c.sum())) < 1e-15
+    assert sign == -1.0
+    # the effective stiffness, every rate and every decay factor stay in
     # range for any valid material and dt
-    for scheme in Scheme:
-        op = StepOperator.build(_scalar_system(material), scheme, any_dt)
-        assert op.gamma > 0
-        assert np.all(op.rate > 0) and np.all(np.abs(op.a) < 1)
+    op = StepOperator.build(_scalar_system(material), any_dt)
+    assert op.gamma > 0 and np.all(np.abs(op.a) < 1)
+    for rate, _, _ in op.rows.values():
+        assert np.all(rate > 0)
     for bad in (0.0, -0.25, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"dt={bad}"):
-            StepOperator.build(system, Scheme.DISPLACEMENT, bad)
+            StepOperator.build(system, bad)
+
+
+@st.composite
+def _materials_and_steps(draw):
+    """A dt and a material with 0 to 3 internal variables, tau_q from 1e-3 dt
+    to 1e3 dt, whose coefficients sum to 1 only within what ``PronyMaterial``
+    allows (1e-12)."""
+    dt = draw(st.floats(1.0 / 1024, 1.0))
+    phis = draw(st.lists(st.floats(0.01, 0.3), min_size=0, max_size=3))
+    ratios = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(phis), max_size=len(phis)))
+    off = draw(st.floats(-0.9e-12, 0.9e-12))
+    phi0 = 1.0 - sum(phis) + off
+    return PronyMaterial(1.0, phi0, tuple(phis), tuple(r * dt for r in ratios)), dt
+
+
+@settings(max_examples=30, deadline=None)
+@given(setting=_materials_and_steps())
+@example(setting=(benchmark_material(), 0.25))
+def test_both_forms_factor_one_step_matrix(setting):
+    # a displacement run and a velocity run at one dt factor K bit for bit alike
+    material, dt = setting
+    space = DGSpace.build(build_structured_mesh(1), 1)
+    system = assemble_system(space, material)
+    factored = []
+
+    def recording(matrix):
+        factored.append(matrix.data.copy())
+        return factor(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("viscodg.stepper.factor", recording)
+        for scheme in Scheme:
+            run(scheme, space, system, material, T=dt, dt=dt)
+    displacement, velocity = factored
+    assert displacement.tobytes() == velocity.tobytes()
 
 
 def test_crank_nicolson_exact_for_quadratic():
@@ -103,8 +136,8 @@ def test_crank_nicolson_exact_for_quadratic():
     # for which the trapezoidal rule is exact
     system = _scalar_system(PronyMaterial(rho=1.0, phi0=1.0, phis=(), taus=()))
     dt = 0.125
+    op = StepOperator.build(system, dt)
     for scheme, step in _STEPS:
-        op = StepOperator.build(system, scheme, dt)
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
         for n in range(16):
 
@@ -119,13 +152,13 @@ def test_crank_nicolson_exact_for_quadratic():
 
 
 @settings(max_examples=20, deadline=None)
-@given(scheme=st.sampled_from(Scheme), dt=st.floats(1e-4, 10.0))
-def test_step_matrix_composition(small_setup, quadratic_setup, scheme, dt):
+@given(dt=st.floats(1e-4, 10.0))
+def test_step_matrix_composition(small_setup, quadratic_setup, dt):
     # K is a new data vector on A's index arrays, with the pattern of the sparse
     # sum it replaces and its values bit for bit; at k=2 (quadratic_setup) A
     # stores zeros where only J has an entry
     for _, _, system in (small_setup, quadratic_setup):
-        op = StepOperator.build(system, scheme, dt)
+        op = StepOperator.build(system, dt)
         gamma, K = op.gamma, op.K.matrix
         ref = (2.0 / dt**2) * system.M + (gamma / 2.0) * system.A + (1.0 / dt) * system.J
         assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
@@ -171,21 +204,21 @@ def test_run_rejects_a_non_finite_load(case, small_setup, bad):
 
 
 def test_step_scheme_mismatch_rejected():
-    # a step runs only when the state, the operator and the routine name one form
+    # a step runs only when the state and the routine name one form; the
+    # operator serves both
     system = _scalar_system(PronyMaterial(1.0, 1.0, (), ()))
-    ops = {scheme: StepOperator.build(system, scheme, 0.1) for scheme in Scheme}
+    op = StepOperator.build(system, 0.1)
     for scheme, step in _STEPS:
         other = Scheme.VELOCITY if scheme == Scheme.DISPLACEMENT else Scheme.DISPLACEMENT
-        for state_form, op_form in ((other, scheme), (scheme, other), (other, other)):
-            state = State(0, 0.0, np.zeros(1), np.zeros(1), [], state_form)
-            with pytest.raises(ValueError, match=f"a {scheme.value} step got"):
-                step(state, ops[op_form], np.zeros(1))
+        state = State(0, 0.0, np.zeros(1), np.zeros(1), [], other)
+        with pytest.raises(ValueError, match=f"a {scheme.value} step got a {other.value} state"):
+            step(state, op, np.zeros(1))
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [], scheme)
-        assert step(state, ops[scheme], np.zeros(1)).scheme == scheme
+        assert step(state, op, np.zeros(1)).scheme == scheme
         # and a state whose internal variables do not match the material of the operator
         state = State(0, 0.0, np.zeros(1), np.zeros(1), [np.zeros(1)], scheme)
         with pytest.raises(ValueError, match="1 internal variables, the operator 0"):
-            step(state, ops[scheme], np.zeros(1))
+            step(state, op, np.zeros(1))
 
 
 def test_internal_recurrence_accuracy(case):
@@ -195,10 +228,10 @@ def test_internal_recurrence_accuracy(case):
     c, t_end = 2.0, 1.0
     errs = []
     for dt in (0.1, 0.05):
-        op = StepOperator.build(_scalar_system(m), Scheme.DISPLACEMENT, dt)
+        op = StepOperator.build(_scalar_system(m), dt)
         psi = np.zeros(m.n_internal)
         for _ in range(round(t_end / dt)):
-            psi = op.a * psi + op.rate * (c + c)
+            psi = op.a * psi + op.rows[Scheme.DISPLACEMENT][0] * (c + c)
         ref = np.array(
             [internal_kernel_constant_history(m, q, c, t_end) for q in range(m.n_internal)]
         )
@@ -276,6 +309,9 @@ def test_run_rejects_negative_final_time(case, small_setup):
         (1e-160, 1e-160, r"dt=1e-160 .* 2/dt\^2 finite"),
         # so many steps that T/dt overflows
         (1e300, 1e-150, r"T=1e\+300 over dt=1e-150 must be finite"),
+        # no number of steps reaches T: 0 steps fall 1e-300 short, 2 steps 5e-14
+        (1e-300, 0.25, "T=1e-300 is not an integral multiple of dt=0.25"),
+        (2.5e-13, 1e-13, "T=2.5e-13 is not an integral multiple of dt=1e-13"),
     ],
 )
 def test_run_rejects_bad_time_inputs_up_front(case, small_setup, monkeypatch, T, dt, name):
@@ -486,10 +522,11 @@ def test_shared_step_matches_block_oracle(small_setup, n_internal, dt, seed):
     rng = np.random.default_rng(seed)
     material = _random_prony(rng, n_internal)
     system = assemble_system(space, material)
+    op = StepOperator.build(system, dt)
     for scheme, step in _STEPS:
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
         f_avg = rng.standard_normal(space.total_dofs)
-        new = step(state, StepOperator.build(system, scheme, dt), f_avg)
+        new = step(state, op, f_avg)
         U1, W1, internal = block_step_oracle(system, material, dt, state, f_avg)
         scale = max(1.0, np.abs(U1).max())
         assert np.abs(new.U - U1).max() < 1e-10 * scale
@@ -514,14 +551,14 @@ class _Counted:
 def test_one_step_is_three_products_and_the_guard(small_setup, rng, n_internal):
     _, space, _ = small_setup
     system = assemble_system(space, _random_prony(rng, n_internal))
+    op = StepOperator.build(system, 0.1)
     for scheme, step in _STEPS:
         calls = Counter()
         counted = dataclasses.replace(
             system, **{name: _Counted(getattr(system, name), name, calls) for name in "MAJ"}
         )
-        op = StepOperator.build(system, scheme, 0.1)
         K = Factorization(_Counted(op.K.matrix, "K", calls), op.K._lu)
-        op = dataclasses.replace(op, system=counted, K=K)
+        counted_op = dataclasses.replace(op, system=counted, K=K)
         state = _random_state(rng, scheme, space.total_dofs, n_internal)
-        step(state, op, rng.standard_normal(space.total_dofs))
+        step(state, counted_op, rng.standard_normal(space.total_dofs))
         assert calls == {"M": 1, "A": 1, "J": 1, "K": 1}
