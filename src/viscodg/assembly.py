@@ -238,6 +238,7 @@ def assemble_system(
     A = sp.csr_matrix(
         (A.data[kept], A.indices[kept], np.concatenate([[0], np.cumsum(counts)])), shape=(n, n)
     )
+    A.indices.flags.writeable = A.indptr.flags.writeable = False  # every step matrix shares them
     row_counts = np.tile(np.bincount(i, minlength=nd), nt)
     M = sp.csr_matrix(
         (
@@ -408,7 +409,7 @@ class AssembledSystem:
 
     A's pattern holds M's and J's: entry i of ``M.data`` sits at
     ``A.data[M_slots[i]]``, and likewise for J, so a combination of the three
-    is a new data vector on A's index arrays.
+    is a new data vector on A's index arrays, which ``assemble_system`` makes read-only.
     """
 
     M: sp.csr_matrix  # rho-weighted mass
@@ -425,7 +426,7 @@ class AssembledSystem:
 
         Each entry is summed as (c_M M + c_A A) + c_J J, as the sparse sums
         do, so the values are theirs bit for bit; only the data vector is
-        new.  The index arrays are A's and must never be changed in place.
+        new.  The index arrays are A's, which ``assemble_system`` makes read-only.
         """
         A = self.A
         if not A.has_canonical_format:

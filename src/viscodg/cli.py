@@ -249,18 +249,19 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
         csv_file = open(cfg.out, "w") if cfg.out else contextlib.nullcontext()
     except OSError as exc:
         raise ConfigError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
-    # validate holds a tconv study to one n: cfg.n lists the mesh of every run
-    systems = {n: _discretization(cfg, n) for n in cfg.n}
-    rows_by_scheme: dict = {}
+    reports = {}  # (scheme, n, dt) -> ErrorReport; validate makes each run's (n, dt) unique
     with csv_file as fh:
-        for scheme in cfg.schemes():
-            reports = []
-            for n, dt in runs:
-                system = systems[n]
-                case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
-                reports.append(error_norms(state, case, system.space, system, dt=dt))
-                csv_rows.append(_csv_row(reports[-1], n))
-            rows_by_scheme[scheme] = reports
+        # one mesh at a time, each system freed before the next is assembled;
+        # validate holds a tconv study to one n: cfg.n lists the mesh of every run
+        for n in cfg.n:
+            system = _discretization(cfg, n)
+            for scheme in cfg.schemes():
+                for dt in (d for m, d in runs if m == n):
+                    case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
+                    reports[scheme, n, dt] = error_norms(state, case, system.space, system, dt=dt)
+            del system
+        rows_by_scheme = {s: [reports[s, n, dt] for n, dt in runs] for s in cfg.schemes()}
+        csv_rows += [_csv_row(reports[s, n, dt], n) for s in cfg.schemes() for n, dt in runs]
         if fh is not None:
             fh.write("\n".join(csv_rows) + "\n")
     if len(runs) > 1:

@@ -7,6 +7,7 @@ continuous so interior jumps come from the discrete field alone.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,46 +39,6 @@ class ErrorReport:
         return tuple(getattr(self, f"err_{name}") for name in NORM_NAMES)
 
 
-def _field_error_norms(system: AssembledSystem, coeffs: np.ndarray, exact, grad_exact):
-    """L2, full broken H1 and energy norms of (exact - discrete) on the system's space."""
-    space = system.space
-    xq = space.physical_quad_points()
-    wdet = space.elem_weights[None, :] * space.det_jac[:, None]
-
-    ex, ey = exact(xq[..., 0], xq[..., 1])
-    uh = space.evaluate(coeffs)
-    dx = np.broadcast_to(ex, uh.shape[:-1]) - uh[..., 0]
-    dy = np.broadcast_to(ey, uh.shape[:-1]) - uh[..., 1]
-    l2_sq = float(np.sum(wdet * (dx * dx + dy * dy)))
-
-    gh = space.evaluate_gradients(coeffs)
-    dg = grad_array(grad_exact, xq) - gh
-    h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
-
-    sig = stress(system.material.elasticity, dg)
-    energy_sq = float(np.sum(wdet[..., None, None] * sig * dg))
-
-    # jump penalty of the error over interior and Dirichlet edges
-    edges = space.mesh.edges
-    cshape = coeffs.reshape(space.mesh.n_triangles, 2, space.dofs_per_component)
-    for tag in (EdgeTag.INTERIOR, EdgeTag.DIRICHLET):
-        ids = np.flatnonzero(edges.tag == tag)
-        x, vals, _ = space.edge_traces(ids, 0)
-        jump = -(vals @ np.swapaxes(cshape[edges.elems[ids, 0]], 1, 2))
-        if tag == EdgeTag.INTERIOR:
-            # exact field is continuous: only the discrete jump contributes
-            _, vals, _ = space.edge_traces(ids, 1)
-            jump += vals @ np.swapaxes(cshape[edges.elems[ids, 1]], 1, 2)
-        else:
-            ex_b, ey_b = exact(x[..., 0], x[..., 1])
-            jump += np.stack(np.broadcast_arrays(ex_b, ey_b), axis=-1)
-        length = edges.length[ids]
-        pen = system.alpha0 / length
-        energy_sq += float(np.sum(jump * jump, axis=-1) @ space.edge_weights @ (length * pen))
-
-    return np.sqrt(l2_sq), np.sqrt(h1_sq), np.sqrt(energy_sq)
-
-
 def error_norms(
     state: State,
     case,
@@ -85,7 +46,8 @@ def error_norms(
     system: AssembledSystem,
     dt: float = 0.0,
 ) -> ErrorReport:
-    """All six error norms of a state against the exact fields of ``case``.
+    """All six error norms of a state against the exact fields of ``case``, from
+    one evaluation of the quadrature points, weights and edge traces.
 
     ``space`` must be ``system.space`` and ``case.material`` the material
     ``system`` was assembled with, or ``ValueError`` is raised.
@@ -95,29 +57,53 @@ def error_norms(
     if case.material != system.material:
         raise ValueError(f"case material {case.material} is not the system's {system.material}")
     t = state.t
-    u_l2, u_h1, u_en = _field_error_norms(
-        system,
-        state.U,
-        lambda x, y: case.displacement(x, y, t),
-        lambda x, y: case.grad_displacement(x, y, t),
-    )
-    w_l2, w_h1, w_en = _field_error_norms(
-        system,
-        state.W,
-        lambda x, y: case.velocity(x, y, t),
-        lambda x, y: case.grad_velocity(x, y, t),
-    )
-    return ErrorReport(
-        u_l2, u_h1, u_en, w_l2, w_h1, w_en, t, space.mesh.h, dt, space.degree, state.scheme.value
-    )
+    xq = space.physical_quad_points()
+    wdet = space.elem_weights[None, :] * space.det_jac[:, None]
+    D = system.material.elasticity
+    edges = space.mesh.edges
+    interior = np.flatnonzero(edges.tag == EdgeTag.INTERIOR)
+    dirichlet = np.flatnonzero(edges.tag == EdgeTag.DIRICHLET)
+    _, vals0, _ = space.edge_traces(interior, 0)
+    _, vals1, _ = space.edge_traces(interior, 1)
+    x_d, vals_d, _ = space.edge_traces(dirichlet, 0)
+    elems0, elems1 = edges.elems[interior].T
+    elems_d = edges.elems[dirichlet, 0]
+    # |e| times the penalty weight alpha0 / |e|, per edge
+    length = edges.length
+    pen, pen_d = (length[i] * (system.alpha0 / length[i]) for i in (interior, dirichlet))
+
+    norms = []
+    for coeffs, exact, grad_exact in (
+        (state.U, case.displacement, case.grad_displacement),
+        (state.W, case.velocity, case.grad_velocity),
+    ):
+        ex, ey = exact(xq[..., 0], xq[..., 1], t)
+        uh = space.evaluate(coeffs)
+        dx = np.broadcast_to(ex, uh.shape[:-1]) - uh[..., 0]
+        dy = np.broadcast_to(ey, uh.shape[:-1]) - uh[..., 1]
+        l2_sq = float(np.sum(wdet * (dx * dx + dy * dy)))
+        dg = grad_array(partial(grad_exact, t=t), xq) - space.evaluate_gradients(coeffs)
+        h1_sq = l2_sq + float(np.sum(wdet[..., None, None] * dg * dg))
+        energy_sq = float(np.sum(wdet[..., None, None] * stress(D, dg) * dg))
+
+        c = coeffs.reshape(space.mesh.n_triangles, 2, space.dofs_per_component)
+        jump = -(vals0 @ np.swapaxes(c[elems0], 1, 2)) + vals1 @ np.swapaxes(c[elems1], 1, 2)
+        exact_d = np.stack(np.broadcast_arrays(*exact(x_d[..., 0], x_d[..., 1], t)), axis=-1)
+        jump_d = -(vals_d @ np.swapaxes(c[elems_d], 1, 2)) + exact_d
+        for j, p in ((jump, pen), (jump_d, pen_d)):
+            energy_sq += float(np.sum(j * j, axis=-1) @ space.edge_weights @ p)
+        norms += [np.sqrt(l2_sq), np.sqrt(h1_sq), np.sqrt(energy_sq)]
+    return ErrorReport(*norms, t, space.mesh.h, dt, space.degree, state.scheme.value)
 
 
 def convergence_rate(errors, scales):
     """Observed order between successive refinements: one rate per adjacent pair."""
     errors = np.asarray(errors, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    if np.any(errors <= 0):
+    if not np.all(np.isfinite(errors) & (errors > 0)):
         raise ValueError("error values must be positive")
-    if np.any(np.diff(scales) >= 0):
+    if not (np.all(np.isfinite(scales)) and np.all(np.diff(scales) < 0)):
         raise ValueError("scales must be strictly decreasing")
+    if not np.all(scales > 0):
+        raise ValueError("scales must be positive")
     return list(np.diff(np.log(errors)) / np.diff(np.log(scales)))

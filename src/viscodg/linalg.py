@@ -91,8 +91,8 @@ def factor(K: sp.csr_matrix) -> Factorization:
     factored without a copy and ``solve`` applies it transposed.  That keeps
     every solve exact for K, which is symmetric only to rounding.  A step
     matrix (``AssembledSystem.combine``) shares its index arrays with the
-    system's A: the factorization keeps K and reads them, and neither may
-    ever be changed in place.
+    system's A: the factorization keeps K and reads them, and
+    ``assemble_system`` makes them read-only.
     """
     K = K.tocsr()
     # splu sums duplicates in place in the arrays it is given, which are K's;

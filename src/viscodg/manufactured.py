@@ -52,7 +52,10 @@ class ManufacturedCase:
     def _kernel_cos(t, tau):
         """(1/tau) int_0^t exp(-(t-s)/tau) cos(s) ds, closed form."""
         a = 1.0 / tau
-        return a * (a * np.cos(t) + np.sin(t) - a * np.exp(-t / tau)) / (a * a + 1.0)
+        if np.isfinite(a * a):
+            return a * (a * np.cos(t) + np.sin(t) - a * np.exp(-t / tau)) / (a * a + 1.0)
+        # the same over a^2, for a tau_q so small that a^2 overflows
+        return (np.cos(t) + tau * np.sin(t) - np.exp(-t / tau)) / (1.0 + tau * tau)
 
     def _time_factors(self, t):
         """Time factors of the displacement-form effective field u - sum psi_q."""

@@ -65,7 +65,7 @@ class StepOperator:
     Holds gamma, each form's row of the coefficient table in the module
     docstring and the factorization of K, so they cannot disagree.  K is built
     by ``AssembledSystem.combine``: a new data vector on the index arrays of
-    the system's A, which must never be changed in place.
+    the system's A, which ``assemble_system`` makes read-only.
     """
 
     system: AssembledSystem

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,31 @@ def test_tconv_scales_use_dt():
     assert dts == [0.5, 0.25]
 
 
+def test_study_keeps_one_system_alive_at_a_time(monkeypatch):
+    # each mesh's system is assembled once, runs both schemes, and is freed
+    # before the next mesh's is assembled; the rows stay scheme-major
+    systems, alive = [], []
+
+    def tracked_discretization(cfg, n):
+        system = _discretization(cfg, n)
+        systems.append(weakref.ref(system))
+        return system
+
+    def counted_run(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in systems))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("viscodg.cli._discretization", tracked_discretization)
+    monkeypatch.setattr("viscodg.cli.run", counted_run)
+    cfg = StudyConfig(study="hconv", scheme="both", k=1, n=[2, 4], dt=[0.25])
+    rows = run_study(cfg, out=io.StringIO())
+    assert len(systems) == 2
+    assert alive == [1, 1, 1, 1]
+    assert [row.split(",")[:3] for row in rows[1:]] == [
+        [scheme, "1", n] for scheme in ("displacement", "velocity") for n in ("2", "4")
+    ]
+
+
 def test_stability_study_output(monkeypatch):
     # one run per scheme, to T=10; the T=5 peak is read off its first half
     runs = []
@@ -463,6 +489,18 @@ def test_main_solver_failure_exit_code(capfd, monkeypatch):
     err = capfd.readouterr().err
     assert "solver failure (alpha0=10.0, k=1, (n, dt) = (2, 0.25))" in err
     assert "solve residual 1 exceeds tolerance" in err
+
+
+def test_main_runs_a_tau_whose_inverse_square_overflows(tmp_path, capfd):
+    # 1/tau_q^2 overflows for tau_q = 1e-200: the manufactured forcing, which
+    # holds for any tau_q > 0, must still be finite
+    cfgfile = tmp_path / "tiny_tau.cfg"
+    cfgfile.write_text("taus = 1e-200, 1.5\n")
+    args = ["--config", str(cfgfile), "--k", "1", "--n", "2", "--dt", "1/4", "--T", "1/4"]
+    assert main(args) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert CSV_HEADER in captured.out
 
 
 # each failing run names its (n, dt) and what was measured: (2/dt^2) U

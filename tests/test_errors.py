@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from conftest import interpolate, space_with_quadrature
 from viscodg.errors import NORM_NAMES, convergence_rate, error_norms
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
+from viscodg.space import DGSpace
 from viscodg.stepper import Scheme, State
 
 
@@ -81,6 +84,23 @@ def test_zero_state_norms_of_uniaxial_field(small_setup):
     assert abs(rep.err_w_L2 - rep.err_u_L2) < 1e-14
 
 
+def test_error_norms_evaluate_points_and_traces_once(monkeypatch, small_setup):
+    # both fields share the element points and the three trace sets: both
+    # sides of the interior edges and the inner side of the Dirichlet edges
+    _, space, system = small_setup
+    calls = Counter()
+    for name in ("physical_quad_points", "edge_traces"):
+
+        def counted(self, *args, _name=name, _method=getattr(DGSpace, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(DGSpace, name, counted)
+    Z = np.zeros(space.total_dofs)
+    error_norms(_state(space, Z, Z), _PolynomialCase(), space, system)
+    assert calls == {"physical_quad_points": 1, "edge_traces": 3}
+
+
 def test_error_norms_reject_another_material(small_setup):
     # exact fields of a rho=3 material against a system assembled for rho=1
     _, space, system = small_setup
@@ -142,6 +162,18 @@ def test_convergence_rate_validation():
         convergence_rate([1.0, 0.5], [0.25, 0.25])
     with pytest.raises(ValueError):
         convergence_rate([1.0, 0.5], [0.25, 0.5])
+    # NaN compares false with everything: each check must ask for the valid case
+    with pytest.raises(ValueError, match="^error values must be positive$"):
+        convergence_rate([math.nan, 1.0], [0.5, 0.25])
+    with pytest.raises(ValueError, match="^scales must be strictly decreasing$"):
+        convergence_rate([2.0, 1.0], [0.5, math.nan])
+    with pytest.raises(ValueError, match="^error values must be positive$"):
+        convergence_rate([math.inf, 1.0], [0.5, 0.25])
+    with pytest.raises(ValueError, match="^scales must be strictly decreasing$"):
+        convergence_rate([2.0, 1.0], [math.inf, 0.25])
+    # the log of a scale that is not positive is NaN or infinite
+    with pytest.raises(ValueError, match="^scales must be positive$"):
+        convergence_rate([2.0, 1.0], [0.5, 0.0])
 
 
 def test_quadrature_refinement_is_converged(case):

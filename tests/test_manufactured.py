@@ -1,3 +1,5 @@
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +17,7 @@ from conftest import (
     stress_oracle,
     traction_oracle,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscodg.manufactured import ManufacturedCase, benchmark_material
@@ -51,6 +53,30 @@ def test_internal_displacement_near_tau_one(tau):
             got = internal_displacement(case, 1, x, y, t)
             ref = internal_displacement_oracle(case, 1, x, y, t)
             assert np.allclose(got, ref, rtol=0, atol=1e-12), (x, y, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.floats(5e-324, 8e307), t=st.floats(0.0, 10.0))
+# 1/tau^2 overflows, and 1/tau itself
+@example(tau=1e-200, t=0.25)
+@example(tau=5e-324, t=0.25)
+def test_time_factors_are_finite_for_any_tau(tau, t):
+    # the material takes any tau_q whose 2 tau_q is finite, down to the least subnormal
+    case = ManufacturedCase(PronyMaterial(1.0, 0.5, (0.5,), (tau,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g1, g2 = case._time_factors(t)
+    assert math.isfinite(g1) and math.isfinite(g2)
+
+
+def test_kernel_cos_agrees_across_the_overflow_of_a_squared():
+    # a = 1/tau: a^2 is finite at the first tau and overflows at the second;
+    # both are so small that the kernel is cos t to rounding
+    above, below = 7.5e-155, 7.4e-155
+    assert math.isfinite((1.0 / above) * (1.0 / above))
+    assert not math.isfinite((1.0 / below) * (1.0 / below))
+    for tau in (above, below):
+        assert ManufacturedCase._kernel_cos(0.5, tau) == pytest.approx(np.cos(0.5), rel=1e-15)
 
 
 def test_exact_field_values(case):

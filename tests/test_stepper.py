@@ -190,6 +190,29 @@ def test_factor_and_run_leave_the_shared_pattern_alone(case, quadratic_setup):
         assert np.array_equal(array, old)
 
 
+def test_an_edit_of_the_shared_pattern_raises_before_it_touches_a(case):
+    # dropping A's explicit zeros in place would rewrite the pattern of every
+    # live step matrix; A's index arrays are read-only, so scipy refuses first
+    space = DGSpace.build(build_structured_mesh(4), 2)
+    system = assemble_system(space, case.material)
+    A = system.A
+    assert np.count_nonzero(A.data == 0) > 0
+    op = StepOperator.build(system, 0.25)
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    with pytest.raises(ValueError, match="read-only"):
+        A.eliminate_zeros()
+    with pytest.raises(ValueError, match="read-only"):
+        A.indices[0] = A.indices[1]
+    for array, old in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(array, old)
+    b = np.ones(space.total_dofs)
+    assert np.isfinite(op.K.solve(b)).all()  # the solve checks its residual
+    # the canonical-format methods write nothing, and still run
+    A.sort_indices()
+    A.sum_duplicates()
+    A.prune()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_rejects_a_non_finite_load(case, small_setup, bad):
     # a NaN right-hand side used to pass the residual guard (nan > tol is
