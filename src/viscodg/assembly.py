@@ -73,10 +73,11 @@ def _componentwise(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
-    """Element strain-energy blocks (nt, nd, nd) from one reference tensor.
+def volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
+    """Element strain-energy blocks (nt, nd, nd), A's volume part, from one reference tensor.
 
-    With physical gradients g = G Jinv, block [(z, i), (c, j)] is
+    Block t is int_t D eps(v) : eps(w) on triangle t's DOFs.  With physical
+    gradients g = G Jinv, its entry [(z, i), (c, j)] is
     det sum Jinv_pa Jinv_rb sum_q w_q G_qip G_qjr D[z, a, c, b].
     """
     G = space.ref_grads  # (nq, nb, 2)
@@ -88,16 +89,6 @@ def _volume_blocks(space: DGSpace, D: np.ndarray) -> np.ndarray:
     jinv = space.jac_inv.reshape(nt, 4)
     coef = (space.det_jac[:, None] * jinv)[:, :, None] * jinv[:, None, :]
     return (coef.reshape(nt, 16) @ R).reshape(nt, nd, nd)
-
-
-def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr_matrix:
-    """Element-wise strain energy form sum_E int D eps(v) : eps(w), explicit zeros dropped."""
-    nt, nd = space.mesh.n_triangles, space.dofs_per_element
-    blocks = _volume_blocks(space, material.elasticity)
-    mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
-    mat = mat.tocsr()
-    mat.eliminate_zeros()
-    return mat
 
 
 def _edge_blocks(
@@ -209,7 +200,7 @@ def assemble_system(
         data[slot[: len(blocks)]] = blocks  # the diagonal, then (i, j)
         data[lower] = np.swapaxes(blocks[nt:], 1, 2)
     del consist, penalty  # freed before the BSR conversions
-    a_data[diag] += _volume_blocks(space, D)
+    a_data[diag] += volume_blocks(space, D)
     j_data = _componentwise(penalties)
     del penalties
     a_data += j_data

@@ -206,8 +206,11 @@ def run(
     coefficients and factored step matrix at dt) is built once, after the
     first ``diagnostics`` call, and reused for every step.  ``space`` and
     ``material`` must be the ones ``system`` was assembled with (the space
-    the same object, ``system.space``), or ``ValueError`` is raised.
+    the same object, ``system.space``), or ``ValueError`` is raised; a
+    ``scheme`` that is not a ``Scheme`` raises ``TypeError``.
     """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got {scheme!r}")
     if space is not system.space:
         raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
     if material != system.material:

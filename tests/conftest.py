@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscodg.assembly import assemble_system, grad_array
+from viscodg.assembly import assemble_system, grad_array, volume_blocks
 from viscodg.manufactured import ManufacturedCase
 from viscodg.material import PronyMaterial
 from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
@@ -367,6 +367,18 @@ def block_diagonal_mass(space: DGSpace, rho: float) -> sp.csr_matrix:
     ref = np.zeros((nd, nd))
     ref[:nb, :nb] = ref[nb:, nb:] = (space.ref_values.T * space.elem_weights) @ space.ref_values
     blocks = rho * space.det_jac[:, None, None] * ref
+    mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
+    mat = mat.tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def assemble_volume_stiffness(space: DGSpace, material: PronyMaterial) -> sp.csr_matrix:
+    """The element-wise strain energy form sum_E int D eps(v) : eps(w) as a
+    sparse matrix: the BSR matrix of the ``volume_blocks``, converted to CSR
+    with its explicit zeros dropped."""
+    nt, nd = space.mesh.n_triangles, space.dofs_per_element
+    blocks = volume_blocks(space, material.elasticity)
     mat = sp.bsr_matrix((blocks, np.arange(nt), np.arange(nt + 1)), shape=(nt * nd, nt * nd))
     mat = mat.tocsr()
     mat.eliminate_zeros()

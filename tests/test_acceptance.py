@@ -14,6 +14,7 @@ import pytest
 import conftest
 from conftest import (
     acceleration,
+    assemble_volume_stiffness,
     average_jump,
     forcing_values,
     internal_displacement,
@@ -24,7 +25,7 @@ from conftest import (
     stress_oracle,
 )
 
-from viscodg.assembly import assemble_system, assemble_volume_stiffness
+from viscodg.assembly import assemble_system
 from viscodg.errors import convergence_rate, error_norms
 from viscodg.linalg import SolverError, factor
 from viscodg.mesh import EdgeTag, build_structured_mesh

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import (
+    assemble_volume_stiffness,
     average_jump,
     block_diagonal_mass,
     forcing_values,
@@ -20,7 +21,6 @@ from viscodg.assembly import (
     SeparableField,
     assemble_elliptic_rhs,
     assemble_system,
-    assemble_volume_stiffness,
     grad_array,
 )
 from viscodg.linalg import factor

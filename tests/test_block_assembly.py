@@ -5,13 +5,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forcing_values, interpolate, reference_assembly, scrambled_mesh_input
-from viscodg.assembly import (
-    LoadAssembler,
-    assemble_elliptic_rhs,
-    assemble_system,
+from conftest import (
     assemble_volume_stiffness,
+    forcing_values,
+    interpolate,
+    reference_assembly,
+    scrambled_mesh_input,
 )
+from viscodg.assembly import LoadAssembler, assemble_elliptic_rhs, assemble_system
 from viscodg.material import PronyMaterial
 from viscodg.mesh import EdgeTag, TriMesh
 from viscodg.space import DGSpace

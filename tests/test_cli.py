@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assemble_volume_stiffness
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from viscodg.cli import (
     parse_config,
     run_study,
 )
-from viscodg.assembly import assemble_volume_stiffness
 from viscodg.linalg import SolverError
 from viscodg.manufactured import ManufacturedCase
 from viscodg.stepper import Scheme, run
@@ -276,8 +276,10 @@ def test_study_keeps_one_system_alive_at_a_time(monkeypatch):
     ]
 
 
-def test_stability_study_output(monkeypatch):
-    # one run per scheme, to T=10; the T=5 peak is read off its first half
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stability_study_output(monkeypatch, k):
+    # one run per scheme, to T=10; the T=5 peak is read off its first half,
+    # and the study's blockwise energy is the sparse oracle's at every degree
     runs = []
 
     def counted_run(form, space, system, material, T, *args, **kwargs):
@@ -285,7 +287,7 @@ def test_stability_study_output(monkeypatch):
         return run(form, space, system, material, T, *args, **kwargs)
 
     monkeypatch.setattr("viscodg.cli.run", counted_run)
-    cfg = StudyConfig(study="stability", scheme="both", k=1, n=[2], dt=[0.25])
+    cfg = StudyConfig(study="stability", scheme="both", k=k, n=[2], dt=[0.25])
     buf = io.StringIO()
     run_study(cfg, out=buf)
     text = buf.getvalue()
@@ -412,16 +414,20 @@ _REJECTED = [
     ("--study hconv --k 1 --n 4,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),
     ("--study hconv --k 1 --n 2,2 --dt 1/4 --T 0.25", "mesh subdivisions must strictly increase"),
     ("--study tconv --k 1 --n 2 --dt 1/8,1/4 --T 0.25", "time steps must strictly decrease"),
+    # a degree the reference basis cannot represent, refused before any assembly
+    ("--study hconv --k 12 --n 1 --dt 1/4 --T 1/4", "degree k=12 is too high"),
+    ("--study hconv --k 0 --n 1 --dt 1/4 --T 1/4", "polynomial degree must be >= 1, got 0"),
 ]
 
 
 def _no_run(*args, **kwargs):
-    raise AssertionError("a run started for a config that fails its checks")
+    raise AssertionError("a run or assembly started for a config that fails its checks")
 
 
 @pytest.mark.parametrize("args, message", _REJECTED, ids=[args for args, _ in _REJECTED])
 def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
     monkeypatch.setattr("viscodg.cli.run", _no_run)
+    monkeypatch.setattr("viscodg.cli.assemble_system", _no_run)
     assert main(args.split()) == 2
     assert f"config error: {message}" in capfd.readouterr().err
 

@@ -7,6 +7,7 @@ from conftest import interpolate, scrambled_mesh_input, space_with_quadrature
 from viscodg.mesh import TriMesh, build_structured_mesh
 from viscodg.space import (
     DGSpace,
+    _lattice_nodes,
     edge_quadrature,
     quadrature_rules,
     reference_basis,
@@ -19,6 +20,17 @@ def test_rejects_degree_zero():
         reference_basis(0, [[0.3, 0.3]])
     with pytest.raises(ValueError):
         quadrature_rules(0)
+
+
+def test_degrees_up_to_10_build_and_12_is_refused():
+    # the lattice Vandermonde inverts to about 1e-9 at k=10 and 1e-7 at k=12,
+    # where the basis would miss partition of unity and run with degraded errors
+    for k in range(1, 11):
+        vals, _ = reference_basis(k, _lattice_nodes(k))
+        assert np.abs(vals - np.eye(len(vals))).max() <= 1e-8
+    message = r"^degree k=12 is too high for the monomial basis: max\|V C - I\| = \S+ > 1e-8$"
+    with pytest.raises(ValueError, match=message):
+        reference_basis(12, [[0.3, 0.3]])
 
 
 def test_p1_nodal_values():

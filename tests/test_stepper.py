@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import (
+    assemble_volume_stiffness,
     block_diagonal_mass,
     block_step_oracle,
     internal_kernel_constant_history,
@@ -14,12 +15,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viscodg.assembly import (
-    AssembledSystem,
-    LoadAssembler,
-    assemble_system,
-    assemble_volume_stiffness,
-)
+from viscodg.assembly import AssembledSystem, LoadAssembler, assemble_system
 from viscodg.linalg import Factorization, factor
 from viscodg.manufactured import ManufacturedCase, benchmark_material
 from viscodg.material import PronyMaterial
@@ -383,6 +379,31 @@ def test_run_rejects_another_material_up_front(small_setup, monkeypatch):
             w0=other.velocity_at(0.0),
             body_force=other.body_force_at,
             traction=other.traction_at,
+        )
+
+
+@pytest.mark.parametrize("scheme", ["velocity", "displacement", None])
+def test_run_rejects_a_scheme_that_is_not_a_scheme_up_front(case, small_setup, monkeypatch, scheme):
+    # a name compares unequal to both members, so it would take the
+    # displacement routine and die after the projections and factorizations
+    _, space, system = small_setup
+
+    def no_factor(matrix):
+        raise AssertionError("factored before the scheme was checked")
+
+    monkeypatch.setattr("viscodg.stepper.factor", no_factor)
+    message = "scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got "
+    with pytest.raises(TypeError, match=re.escape(message + repr(scheme))):
+        run(
+            scheme,
+            space,
+            system,
+            case.material,
+            0.5,
+            0.25,
+            u0=case.displacement_at(0.0),
+            grad_u0=case.grad_displacement_at(0.0),
+            w0=case.velocity_at(0.0),
         )
 
 
