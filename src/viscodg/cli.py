@@ -9,7 +9,7 @@ and prints a human-readable rate table to standard output.
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,7 @@ from .manufactured import ManufacturedCase
 from .material import PronyMaterial
 from .mesh import build_structured_mesh
 from .space import DGSpace, reference_basis
-from .stepper import Scheme, run, step_count
+from .stepper import Scheme, State, StepOperator, advance, initialize, step_count
 
 CSV_HEADER = "scheme,k,n,h,dt," + ",".join(f"err_{name}" for name in NORM_NAMES)
 
@@ -163,8 +163,10 @@ def parse_config(text: str) -> StudyConfig:
 
     Each value is checked alone; ``run_study`` checks the settings together
     with ``StudyConfig.validate``, so command-line flags may still change them.
+    A key given twice is an error: a file sets each setting once.
     """
     cfg = StudyConfig()
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,6 +174,9 @@ def parse_config(text: str) -> StudyConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: '{key}' is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             _set(cfg, key, value)
         except ConfigError as exc:
@@ -185,28 +190,12 @@ def _discretization(cfg: StudyConfig, n: int):
     return assemble_system(space, cfg.material(), cfg.alpha0)
 
 
-def _run_case(scheme: Scheme, system, T: float, dt: float, forced: bool, diagnostics=None):
-    """``run`` on the system's space from the manufactured initial data of its material.
-
-    With ``forced`` the run takes the case's body force and traction, else
-    its loads are homogeneous.  Returns the case and the final state.
-    """
+def _project(system) -> tuple[ManufacturedCase, State]:
+    """The manufactured case of the system's material and its initial data on the
+    system's space, a state that ``replace(initial, scheme=...)`` gives either form."""
     case = ManufacturedCase(system.material)
-    loads = {"body_force": case.body_force_at, "traction": case.traction_at} if forced else {}
-    state = run(
-        scheme,
-        system.space,
-        system,
-        system.material,
-        T,
-        dt,
-        u0=case.displacement_at(0.0),
-        grad_u0=case.grad_displacement_at(0.0),
-        w0=case.velocity_at(0.0),
-        diagnostics=diagnostics,
-        **loads,
-    )
-    return case, state
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    return case, initialize(system, *data, Scheme.DISPLACEMENT)
 
 
 def _csv_row(report, n: int) -> str:
@@ -243,24 +232,28 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
         _run_stability(cfg, out)
         return csv_rows
 
-    runs = cfg.runs()
+    runs, T, schemes = cfg.runs(), cfg.final_time(), cfg.schemes()
     try:
         csv_file = open(cfg.out, "w") if cfg.out else contextlib.nullcontext()
     except OSError as exc:
         raise ConfigError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
     reports = {}  # (scheme, n, dt) -> ErrorReport; validate makes each run's (n, dt) unique
     with csv_file as fh:
-        # one mesh at a time, each system freed before the next is assembled;
-        # validate holds a tconv study to one n: cfg.n lists the mesh of every run
+        # one system at a time, projected once, factored once per dt for both forms and
+        # freed before the next; validate holds a tconv study to one n: cfg.n lists every mesh
         for n in cfg.n:
             system = _discretization(cfg, n)
-            for scheme in cfg.schemes():
-                for dt in (d for m, d in runs if m == n):
-                    case, state = _run_case(scheme, system, cfg.final_time(), dt, forced=True)
+            case, initial = _project(system)
+            loads = (case.body_force_at, case.traction_at)
+            for dt in (d for m, d in runs if m == n):
+                op = StepOperator.build(system, dt)
+                finals = {s: advance(replace(initial, scheme=s), op, T, *loads) for s in schemes}
+                del op  # K's LU, the largest array, is freed before the norms
+                for scheme, state in finals.items():
                     reports[scheme, n, dt] = error_norms(state, case, system.space, system, dt=dt)
             del system
-        rows_by_scheme = {s: [reports[s, n, dt] for n, dt in runs] for s in cfg.schemes()}
-        csv_rows += [_csv_row(reports[s, n, dt], n) for s in cfg.schemes() for n, dt in runs]
+        rows_by_scheme = {s: [reports[s, n, dt] for n, dt in runs] for s in schemes}
+        csv_rows += [_csv_row(reports[s, n, dt], n) for s in schemes for n, dt in runs]
         if fh is not None:
             fh.write("\n".join(csv_rows) + "\n")
     if len(runs) > 1:
@@ -277,6 +270,8 @@ def _run_stability(cfg: StudyConfig, out) -> None:
     # the volume strain energy is block diagonal: one (nd, nd) block per triangle
     volume = volume_blocks(system.space, system.material.elasticity)
 
+    _, initial = _project(system)
+    op = StepOperator.build(system, dt)  # both forms step with one K
     short, long = _STABILITY_HORIZONS
     # the run to T=10 passes through T=5, so one run gives both peaks
     n_short = step_count(short, dt)
@@ -288,7 +283,7 @@ def _run_stability(cfg: StudyConfig, out) -> None:
             e = state.W @ (system.M @ state.W) + state.U @ stiff
             energies.append(float(e))
 
-        _run_case(scheme, system, long, dt, forced=False, diagnostics=track)
+        advance(replace(initial, scheme=scheme), op, long, diagnostics=track)
         peak_short, peak_long = max(energies[: n_short + 1]), max(energies)
         print(
             f"stability ({scheme.value} form): max energy T={short:g}: {peak_short:.6e}  "

@@ -49,13 +49,16 @@ def error_norms(
     """All six error norms of a state against the exact fields of ``case``, from
     one evaluation of the quadrature points, weights and edge traces.
 
-    ``space`` must be ``system.space`` and ``case.material`` the material
-    ``system`` was assembled with, or ``ValueError`` is raised.
+    ``space`` must be ``system.space``, ``case.material`` the material
+    ``system`` was assembled with and the state one of the system's size, or
+    ``ValueError`` is raised.
     """
     if space is not system.space:
         raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
     if case.material != system.material:
         raise ValueError(f"case material {case.material} is not the system's {system.material}")
+    if state.U.size != space.total_dofs:
+        raise ValueError(f"the state has {state.U.size} DOFs, the system {space.total_dofs}")
     t = state.t
     xq = space.physical_quad_points()
     wdet = space.elem_weights[None, :] * space.det_jac[:, None]

@@ -178,48 +178,31 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def run(
-    scheme: Scheme,
-    space: DGSpace,
-    system: AssembledSystem,
-    material: PronyMaterial,
-    T: float,
-    dt: float,
-    u0=None,
-    grad_u0=None,
-    w0=None,
-    body_force=None,
-    traction=None,
-    diagnostics=None,
+def advance(
+    state: State, op: StepOperator, T: float, body_force=None, traction=None, diagnostics=None
 ) -> State:
-    """Integrate from t=0 to t=T with N = T/dt Crank-Nicolson steps.
+    """Integrate an initial state (n = 0) to t=T with N = T/dt steps of ``op``.
 
-    ``body_force(t)`` and ``traction(t)`` return fields bound to one time
-    level (or None for homogeneous loads).  Each field is called once per
-    time level, always at the same points (the element quadrature points,
-    and those of the Neumann edges).  A field may return a
-    ``SeparableField`` instead of a pair, as ``ManufacturedCase`` does: the
-    run's load assembler evaluates its spatial fields at those points and
-    contracts them with the basis once per run, and each time level only
-    combines them with its coefficients.  ``diagnostics(state)``
-    is called at every time level when given.  The ``StepOperator`` (the
-    coefficients and factored step matrix at dt) is built once, after the
-    first ``diagnostics`` call, and reused for every step.  ``space`` and
-    ``material`` must be the ones ``system`` was assembled with (the space
-    the same object, ``system.space``), or ``ValueError`` is raised; a
-    ``scheme`` that is not a ``Scheme`` raises ``TypeError``.
+    The system and dt are ``op``'s and the form is the state's, so one
+    ``initialize`` and one ``StepOperator`` per dt serve both forms, through
+    ``dataclasses.replace(initial, scheme=...)``.  ``body_force(t)`` and
+    ``traction(t)`` return fields bound to one time level (or None for
+    homogeneous loads), each called once per time level at the same points;
+    a ``SeparableField`` is contracted with the basis there once per call.
+    ``diagnostics(state)`` is called at every time level when given.  A
+    state of another size than the system, or past n = 0 (the velocity
+    form's history load reads the initial U), raises ``ValueError`` first.
     """
-    if not isinstance(scheme, Scheme):
-        raise TypeError(f"scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got {scheme!r}")
-    if space is not system.space:
-        raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
-    if material != system.material:
-        raise ValueError(f"material {material} is not the system's {system.material}")
+    system, dt = op.system, op.dt
+    ndofs = system.A.shape[0]
+    if state.U.size != ndofs:
+        raise ValueError(f"the state has {state.U.size} DOFs, the operator's system {ndofs}")
+    if state.n != 0:
+        raise ValueError(f"advance starts from an initial state (n = 0), got n = {state.n}")
     n_steps = step_count(T, dt)
+    scheme, material = state.scheme, system.material
 
-    state = initialize(system, u0, grad_u0, w0, scheme)
-
-    loads = LoadAssembler(space)
+    loads = LoadAssembler(system.space)
 
     def load_at(t):
         f = body_force(t) if body_force is not None else None
@@ -239,7 +222,6 @@ def run(
 
     if diagnostics is not None:
         diagnostics(state)
-    op = StepOperator.build(system, dt)
     for n in range(n_steps):
         f_next = load_at((n + 1) * dt)
         state = step(state, op, 0.5 * (f_prev + f_next))
@@ -247,3 +229,34 @@ def run(
         if diagnostics is not None:
             diagnostics(state)
     return state
+
+
+def run(
+    scheme: Scheme,
+    space: DGSpace,
+    system: AssembledSystem,
+    material: PronyMaterial,
+    T: float,
+    dt: float,
+    u0=None,
+    grad_u0=None,
+    w0=None,
+    body_force=None,
+    traction=None,
+    diagnostics=None,
+) -> State:
+    """``advance`` from ``initialize`` and a ``StepOperator`` at dt, both built for this call.
+
+    A ``scheme`` that is not a ``Scheme`` raises ``TypeError``; a ``space`` or
+    ``material`` not the system's, or a bad T or dt, ``ValueError``, before any projection.
+    """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got {scheme!r}")
+    if space is not system.space:
+        raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
+    if material != system.material:
+        raise ValueError(f"material {material} is not the system's {system.material}")
+    step_count(T, dt)
+    state = initialize(system, u0, grad_u0, w0, scheme)
+    op = StepOperator.build(system, dt)
+    return advance(state, op, T, body_force, traction, diagnostics)

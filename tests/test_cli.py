@@ -25,9 +25,9 @@ from viscodg.cli import (
     parse_config,
     run_study,
 )
-from viscodg.linalg import SolverError
+from viscodg.linalg import SolverError, factor
 from viscodg.manufactured import ManufacturedCase
-from viscodg.stepper import Scheme, run
+from viscodg.stepper import Scheme, advance, run
 
 
 def test_parse_number_fractions():
@@ -197,6 +197,20 @@ def test_parse_errors():
         parse_config("phi0 = 0.9").validate()  # coefficients no longer sum to 1
 
 
+def test_a_key_given_twice_is_a_config_error(tmp_path, capfd):
+    # the file's second k would silently win; a flag still overrides the file
+    text = "k = 1\nk = 2\nn = 2\ndt = 1/4\nT = 1/4\nscheme = displacement\n"
+    with pytest.raises(ConfigError, match="^line 2: 'k' is already set on line 1$"):
+        parse_config(text)
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text(text)
+    assert main(["--config", str(cfgfile)]) == 2
+    assert capfd.readouterr().err == "config error: line 2: 'k' is already set on line 1\n"
+    cfgfile.write_text(text.replace("k = 2\n", ""))
+    assert main(["--config", str(cfgfile), "--k", "2"]) == 0
+    assert "\ndisplacement,2,2," in capfd.readouterr().out
+
+
 @pytest.mark.parametrize("study", ["nope", "single", "penalty"])
 def test_unknown_study_names_the_studies(study):
     message = rf"unknown study '{study}' \(choose hconv, tconv, stability\)"
@@ -252,7 +266,7 @@ def test_tconv_scales_use_dt():
 
 
 def test_study_keeps_one_system_alive_at_a_time(monkeypatch):
-    # each mesh's system is assembled once, runs both schemes, and is freed
+    # each mesh's system is assembled once, advances both schemes, and is freed
     # before the next mesh's is assembled; the rows stay scheme-major
     systems, alive = [], []
 
@@ -261,12 +275,12 @@ def test_study_keeps_one_system_alive_at_a_time(monkeypatch):
         systems.append(weakref.ref(system))
         return system
 
-    def counted_run(*args, **kwargs):
+    def counted_advance(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in systems))
-        return run(*args, **kwargs)
+        return advance(*args, **kwargs)
 
     monkeypatch.setattr("viscodg.cli._discretization", tracked_discretization)
-    monkeypatch.setattr("viscodg.cli.run", counted_run)
+    monkeypatch.setattr("viscodg.cli.advance", counted_advance)
     cfg = StudyConfig(study="hconv", scheme="both", k=1, n=[2, 4], dt=[0.25])
     rows = run_study(cfg, out=io.StringIO())
     assert len(systems) == 2
@@ -276,17 +290,38 @@ def test_study_keeps_one_system_alive_at_a_time(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "settings, factored",
+    [
+        # per system A and M once for the projection, and K once per dt for both forms
+        (dict(study="hconv", n=[2, 4], dt=[0.25]), 6),
+        (dict(study="tconv", n=[2], dt=[0.25, 0.125]), 4),
+        (dict(study="stability", n=[2], dt=[0.25]), 3),
+    ],
+)
+def test_studies_factor_once_per_system_and_dt(monkeypatch, settings, factored):
+    calls = []
+
+    def counted_factor(matrix):
+        calls.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr("viscodg.stepper.factor", counted_factor)
+    run_study(StudyConfig(scheme="both", k=1, **settings), out=io.StringIO())
+    assert len(calls) == factored
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stability_study_output(monkeypatch, k):
-    # one run per scheme, to T=10; the T=5 peak is read off its first half,
+    # one advance per scheme, to T=10; the T=5 peak is read off its first half,
     # and the study's blockwise energy is the sparse oracle's at every degree
     runs = []
 
-    def counted_run(form, space, system, material, T, *args, **kwargs):
-        runs.append((form, T))
-        return run(form, space, system, material, T, *args, **kwargs)
+    def counted_advance(state, op, T, *args, **kwargs):
+        runs.append((state.scheme, T))
+        return advance(state, op, T, *args, **kwargs)
 
-    monkeypatch.setattr("viscodg.cli.run", counted_run)
+    monkeypatch.setattr("viscodg.cli.advance", counted_advance)
     cfg = StudyConfig(study="stability", scheme="both", k=k, n=[2], dt=[0.25])
     buf = io.StringIO()
     run_study(cfg, out=buf)
@@ -426,7 +461,8 @@ def _no_run(*args, **kwargs):
 
 @pytest.mark.parametrize("args, message", _REJECTED, ids=[args for args, _ in _REJECTED])
 def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
-    monkeypatch.setattr("viscodg.cli.run", _no_run)
+    # initialize is the first solver work of a study
+    monkeypatch.setattr("viscodg.cli.initialize", _no_run)
     monkeypatch.setattr("viscodg.cli.assemble_system", _no_run)
     assert main(args.split()) == 2
     assert f"config error: {message}" in capfd.readouterr().err
@@ -434,7 +470,7 @@ def test_main_rejects_runs_that_would_fail(capfd, monkeypatch, args, message):
 
 def test_main_rejects_an_unknown_scheme_as_a_config_error(capfd, monkeypatch):
     # no argparse choices: validate checks the scheme, as it does in a file
-    monkeypatch.setattr("viscodg.cli.run", _no_run)
+    monkeypatch.setattr("viscodg.cli.initialize", _no_run)
     assert main(["--scheme", "fast", "--k", "1", "--n", "2", "--dt", "1/4"]) == 2
     message = "config error: unknown scheme 'fast' (choose displacement, velocity, both)"
     assert capfd.readouterr().err.splitlines() == [message]
@@ -442,7 +478,7 @@ def test_main_rejects_an_unknown_scheme_as_a_config_error(capfd, monkeypatch):
 
 def test_run_study_checks_its_config_before_any_run(monkeypatch):
     # a library caller need not validate: run_study would drop all but one dt
-    monkeypatch.setattr("viscodg.cli.run", _no_run)
+    monkeypatch.setattr("viscodg.cli.initialize", _no_run)
     cfg = parse_config("study = hconv\nn = 4\ndt = 1/4, 1/8\nT = 1/4")
     with pytest.raises(ConfigError, match="a hconv study takes one dt, got 2"):
         run_study(cfg, out=io.StringIO())
@@ -478,7 +514,7 @@ def test_main_rejects_an_unwritable_out_before_any_run(tmp_path, capfd, monkeypa
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the CSV file was opened")
 
-    monkeypatch.setattr("viscodg.cli.run", no_run)
+    monkeypatch.setattr("viscodg.cli.initialize", no_run)
     out = tmp_path / "no such dir" / "x.csv"
     args = ["--study", "hconv", "--k", "1", "--n", "2,4", "--dt", "1/4", "--out", str(out)]
     assert main(args) == 2

@@ -111,6 +111,15 @@ def test_error_norms_reject_another_material(small_setup):
         error_norms(_state(space, Z, Z), other, space, system)
 
 
+def test_error_norms_reject_a_state_of_another_system(case, small_setup, coarse_setup):
+    # a k=1, n=2 state normed on a k=1, n=4 system fails with both sizes
+    _, _, small = small_setup
+    _, space, system = coarse_setup
+    Z = np.zeros(small.space.total_dofs)
+    with pytest.raises(ValueError, match="^the state has 48 DOFs, the system 192$"):
+        error_norms(_state(small.space, Z, Z), case, space, system)
+
+
 def test_error_norms_reject_another_space(case, coarse_setup, foreign_space):
     # a state from the system's own space, normed on another space of the same size
     from viscodg.stepper import initialize

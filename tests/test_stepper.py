@@ -25,6 +25,7 @@ from viscodg.stepper import (
     Scheme,
     State,
     StepOperator,
+    advance,
     initialize,
     run,
     step_displacement,
@@ -493,6 +494,49 @@ def test_run_midpoint_relation_and_diagnostics(case, small_setup):
             lhs = w1 + w0
             rhs = (2.0 / dt) * (u1 - u0)
             assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_advance_from_one_projection_and_one_operator_is_run(case, small_setup, forced):
+    # both forms from one initialize and one StepOperator end bit for bit where run ends
+    _, space, system = small_setup
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    loads = (case.body_force_at, case.traction_at) if forced else (None, None)
+    initial = initialize(system, *data, Scheme.DISPLACEMENT)
+    op = StepOperator.build(system, 0.125)
+    for scheme in Scheme:
+        ref = run(scheme, space, system, case.material, 0.5, 0.125, *data, *loads)
+        st = advance(dataclasses.replace(initial, scheme=scheme), op, 0.5, *loads)
+        assert (st.n, st.t, st.scheme) == (ref.n, ref.t, ref.scheme) == (4, 0.5, scheme)
+        for x, y in zip([st.U, st.W, *st.internal], [ref.U, ref.W, *ref.internal], strict=True):
+            assert x.tobytes() == y.tobytes()
+
+
+def _no_loads(space):
+    raise AssertionError("the loads were assembled before the state was checked")
+
+
+def test_advance_rejects_a_state_of_another_system(case, small_setup, coarse_setup, monkeypatch):
+    # a k=1, n=2 state on a k=1, n=4 system's operator fails with both sizes
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    state = initialize(small_setup[2], *data, Scheme.DISPLACEMENT)
+    op = StepOperator.build(coarse_setup[2], 0.25)
+    monkeypatch.setattr("viscodg.stepper.LoadAssembler", _no_loads)
+    with pytest.raises(ValueError, match="^the state has 48 DOFs, the operator's system 192$"):
+        advance(state, op, 1.0)
+
+
+def test_advance_rejects_a_state_past_its_initial_level(case, small_setup, monkeypatch):
+    # the velocity form's history load reads the initial U, so a run restarted
+    # from a later state would carry the wrong history
+    _, _, system = small_setup
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    op = StepOperator.build(system, 0.25)
+    state = advance(initialize(system, *data, Scheme.VELOCITY), op, 0.25)
+    assert state.n == 1
+    monkeypatch.setattr("viscodg.stepper.LoadAssembler", _no_loads)
+    with pytest.raises(ValueError, match=r"initial state \(n = 0\), got n = 1$"):
+        advance(state, op, 0.5)
 
 
 def test_scheme_equivalence_coarse(case, small_setup):
