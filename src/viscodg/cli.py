@@ -198,6 +198,24 @@ def _project(system) -> tuple[ManufacturedCase, State]:
     return case, initialize(system, *data, Scheme.DISPLACEMENT)
 
 
+def manufactured_reports(system, schemes, dts, T) -> dict:
+    """Error reports of the manufactured case on ``system`` at t=T, keyed (scheme, dt).
+
+    The initial data are projected once; each dt's step matrix is factored
+    once for every scheme and freed before their error norms.
+    """
+    case, initial = _project(system)
+    loads = case.body_force_at, case.traction_at
+    reports = {}
+    for dt in dts:
+        op = StepOperator.build(system, dt)
+        finals = {s: advance(replace(initial, scheme=s), op, T, *loads) for s in schemes}
+        del op  # K's LU, the largest array, is freed before the norms
+        for scheme, state in finals.items():
+            reports[scheme, dt] = error_norms(state, case, system.space, system, dt=dt)
+    return reports
+
+
 def _csv_row(report, n: int) -> str:
     vals = ",".join(f"{v:.6e}" for v in report.as_row())
     return f"{report.scheme},{report.degree},{n},{report.h:.6e},{report.dt:.6e},{vals}"
@@ -239,19 +257,12 @@ def run_study(cfg: StudyConfig, out=None) -> list[str]:
         raise ConfigError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
     reports = {}  # (scheme, n, dt) -> ErrorReport; validate makes each run's (n, dt) unique
     with csv_file as fh:
-        # one system at a time, projected once, factored once per dt for both forms and
-        # freed before the next; validate holds a tconv study to one n: cfg.n lists every mesh
+        # one system at a time, freed before the next is assembled; validate holds a
+        # tconv study to one n: cfg.n lists every mesh
         for n in cfg.n:
-            system = _discretization(cfg, n)
-            case, initial = _project(system)
-            loads = (case.body_force_at, case.traction_at)
-            for dt in (d for m, d in runs if m == n):
-                op = StepOperator.build(system, dt)
-                finals = {s: advance(replace(initial, scheme=s), op, T, *loads) for s in schemes}
-                del op  # K's LU, the largest array, is freed before the norms
-                for scheme, state in finals.items():
-                    reports[scheme, n, dt] = error_norms(state, case, system.space, system, dt=dt)
-            del system
+            dts = [d for m, d in runs if m == n]
+            sweep = manufactured_reports(_discretization(cfg, n), schemes, dts, T)
+            reports.update(((s, n, dt), report) for (s, dt), report in sweep.items())
         rows_by_scheme = {s: [reports[s, n, dt] for n, dt in runs] for s in schemes}
         csv_rows += [_csv_row(reports[s, n, dt], n) for s in schemes for n, dt in runs]
         if fh is not None:

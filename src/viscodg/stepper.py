@@ -158,6 +158,11 @@ def step_velocity(state: State, op: StepOperator, f_avg: np.ndarray) -> State:
     return _step(state, op, f_avg, Scheme.VELOCITY)
 
 
+def _check_scheme(scheme) -> None:
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got {scheme!r}")
+
+
 def _check_time_step(dt: float) -> None:
     # K weighs M by 2/dt^2 and J by 1/dt: dt^2 must neither overflow nor underflow to 0
     square = float(dt) * float(dt)
@@ -190,9 +195,11 @@ def advance(
     homogeneous loads), each called once per time level at the same points;
     a ``SeparableField`` is contracted with the basis there once per call.
     ``diagnostics(state)`` is called at every time level when given.  A
-    state of another size than the system, or past n = 0 (the velocity
-    form's history load reads the initial U), raises ``ValueError`` first.
+    state whose scheme is not a ``Scheme`` raises ``TypeError`` first, and one
+    of another size than the system, or past n = 0 (the velocity form's
+    history load reads the initial U), ``ValueError``.
     """
+    _check_scheme(state.scheme)
     system, dt = op.system, op.dt
     ndofs = system.A.shape[0]
     if state.U.size != ndofs:
@@ -250,8 +257,7 @@ def run(
     A ``scheme`` that is not a ``Scheme`` raises ``TypeError``; a ``space`` or
     ``material`` not the system's, or a bad T or dt, ``ValueError``, before any projection.
     """
-    if not isinstance(scheme, Scheme):
-        raise TypeError(f"scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got {scheme!r}")
+    _check_scheme(scheme)
     if space is not system.space:
         raise ValueError("space is not the system's: pass system.space, the one it was assembled on")
     if material != system.material:

@@ -6,7 +6,6 @@ values of the benchmark convergence study; rate tolerances are stated with
 each criterion.  Heavy runs are shared through module-scoped fixtures.
 """
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -27,6 +26,7 @@ from conftest import (
 )
 
 from viscodg.assembly import assemble_system
+from viscodg.cli import manufactured_reports
 from viscodg.errors import convergence_rate, error_norms
 from viscodg.linalg import SolverError, factor
 from viscodg.mesh import EdgeTag, build_structured_mesh
@@ -35,7 +35,6 @@ from viscodg.stepper import (
     Scheme,
     State,
     StepOperator,
-    advance,
     initialize,
     run,
     step_displacement,
@@ -79,38 +78,8 @@ def _emit(num, title, ok, detail=""):
     assert ok, line
 
 
-def _solve_case(case, scheme, space, system, dt, T=1.0):
-    state = run(
-        scheme,
-        space,
-        system,
-        case.material,
-        T,
-        dt,
-        u0=case.displacement_at(0.0),
-        grad_u0=case.grad_displacement_at(0.0),
-        w0=case.velocity_at(0.0),
-        body_force=case.body_force_at,
-        traction=case.traction_at,
-    )
-    return error_norms(state, case, space, system, dt=dt)
-
-
-def _solve_both_forms(case, system, dts, T=1.0):
-    """Error reports of both schemes at each dt, keyed (scheme, dt): the initial
-    data are projected once, and each dt's step matrix is factored once for
-    both schemes and freed before their norms."""
-    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
-    initial = initialize(system, *data, Scheme.DISPLACEMENT)
-    loads = (case.body_force_at, case.traction_at)
-    out = {}
-    for dt in dts:
-        op = StepOperator.build(system, dt)
-        finals = {s: advance(dataclasses.replace(initial, scheme=s), op, T, *loads) for s in Scheme}
-        del op
-        for scheme, state in finals.items():
-            out[scheme, dt] = error_norms(state, case, system.space, system, dt=dt)
-    return out
+def _system(case, n, k, alpha0=10.0):
+    return assemble_system(DGSpace.build(build_structured_mesh(n), k), case.material, alpha0)
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +88,7 @@ def spatial_runs(case):
     out = {}
     for k in (1, 2):
         for n in SPATIAL_NS:
-            space = DGSpace.build(build_structured_mesh(n), k)
-            system = assemble_system(space, case.material, 10.0)
-            reports = _solve_both_forms(case, system, [DT_FINE])
+            reports = manufactured_reports(_system(case, n, k), list(Scheme), [DT_FINE], 1.0)
             out.update(((scheme, k, n), rep) for (scheme, _), rep in reports.items())
     return out
 
@@ -129,9 +96,7 @@ def spatial_runs(case):
 @pytest.fixture(scope="module")
 def temporal_runs(case):
     """Both schemes on the n=128, k=2 mesh with dt in {1/4, 1/8, 1/16}."""
-    space = DGSpace.build(build_structured_mesh(128), 2)
-    system = assemble_system(space, case.material, 10.0)
-    return _solve_both_forms(case, system, (0.25, 0.125, 0.0625))
+    return manufactured_reports(_system(case, 128, 2), list(Scheme), (0.25, 0.125, 0.0625), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +105,8 @@ def dt_equals_h_runs(case):
     out = {}
     for k in (1, 2):
         for n in SPATIAL_NS:
-            space = DGSpace.build(build_structured_mesh(n), k)
-            system = assemble_system(space, case.material, 10.0)
-            out[k, n] = _solve_case(case, Scheme.DISPLACEMENT, space, system, 1.0 / n)
+            reports = manufactured_reports(_system(case, n, k), [Scheme.DISPLACEMENT], [1.0 / n], 1.0)
+            out[k, n] = reports[Scheme.DISPLACEMENT, 1.0 / n]
     return out
 
 
@@ -217,11 +181,10 @@ def test_criterion_5_penalty_failure(case):
     results = []
     failed_factorization = False
     for n in (2, 4, 8):
-        space = DGSpace.build(build_structured_mesh(n), 1)
         try:
-            system = assemble_system(space, case.material, 0.1)
-            rep = _solve_case(case, Scheme.DISPLACEMENT, space, system, 1.0 / n)
-            results.append(rep.err_u_L2)
+            system = _system(case, n, 1, alpha0=0.1)
+            reports = manufactured_reports(system, [Scheme.DISPLACEMENT], [1.0 / n], 1.0)
+            results += [rep.err_u_L2 for rep in reports.values()]
         except SolverError:
             failed_factorization = True
             break

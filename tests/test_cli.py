@@ -5,6 +5,7 @@ import re
 import shlex
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from viscodg.cli import (
     _discretization,
     _parse_number,
     main,
+    manufactured_reports,
     parse_config,
     run_study,
 )
+from viscodg.errors import error_norms
 from viscodg.linalg import SolverError, factor
 from viscodg.manufactured import ManufacturedCase
-from viscodg.stepper import Scheme, advance, run
+from viscodg.stepper import Scheme, StepOperator, advance, initialize, run
 
 
 def test_parse_number_fractions():
@@ -309,6 +312,60 @@ def test_studies_factor_once_per_system_and_dt(monkeypatch, settings, factored):
     monkeypatch.setattr("viscodg.stepper.factor", counted_factor)
     run_study(StudyConfig(scheme="both", k=1, **settings), out=io.StringIO())
     assert len(calls) == factored
+
+
+def test_manufactured_reports_are_runs_that_free_each_operator_before_its_norms(
+    monkeypatch, small_setup
+):
+    # one projection, and one operator per dt for both forms, dead before its
+    # norms; each report is bit for bit the one of a run of its own
+    _, space, system = small_setup
+    projections, ops, dead = [], [], []
+
+    def counted_initialize(*args):
+        projections.append(args)
+        return initialize(*args)
+
+    def tracked_build(system, dt):
+        op = StepOperator.build(system, dt)
+        ops.append(weakref.ref(op))
+        return op
+
+    def checked_norms(*args, **kwargs):
+        dead.append(ops[-1]() is None)
+        return error_norms(*args, **kwargs)
+
+    monkeypatch.setattr("viscodg.cli.initialize", counted_initialize)
+    monkeypatch.setattr("viscodg.cli.StepOperator", SimpleNamespace(build=tracked_build))
+    monkeypatch.setattr("viscodg.cli.error_norms", checked_norms)
+    dts = [1 / 4, 1 / 8]
+    reports = manufactured_reports(system, list(Scheme), dts, 0.5)
+    assert (len(projections), len(ops), dead) == (1, 2, [True] * 4)
+    assert list(reports) == [(s, dt) for dt in dts for s in Scheme]
+    case = ManufacturedCase(system.material)
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    loads = case.body_force_at, case.traction_at
+    for (scheme, dt), report in reports.items():
+        state = run(scheme, space, system, system.material, 0.5, dt, *data, *loads)
+        assert report == error_norms(state, case, space, system, dt=dt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    schemes=st.lists(st.sampled_from(list(Scheme)), unique=True, max_size=2),
+    dts=st.lists(st.sampled_from([1 / 4, 1 / 8, 1 / 16]), min_size=1, max_size=3, unique=True).map(
+        lambda dts: sorted(dts, reverse=True)
+    ),
+)
+@example(schemes=list(Scheme), dts=[1 / 4, 1 / 8, 1 / 16])
+def test_each_report_of_a_sweep_is_its_own_sweep(small_setup, schemes, dts):
+    # the runs share one projected state: a step that wrote into it would
+    # change every later run of the sweep
+    system = small_setup[2]
+    reports = manufactured_reports(system, schemes, dts, 0.5)
+    assert list(reports) == [(s, dt) for dt in dts for s in schemes]
+    for (scheme, dt), report in reports.items():
+        assert report == manufactured_reports(system, [scheme], [dt], 0.5)[scheme, dt]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

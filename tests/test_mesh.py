@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from conftest import scrambled_mesh_input
 
 from viscodg.assembly import assemble_system
-from viscodg.errors import error_norms
+from viscodg.cli import manufactured_reports
 from viscodg.mesh import EdgeTag, TriMesh, build_structured_mesh
 from viscodg.space import DGSpace
-from viscodg.stepper import Scheme, run
+from viscodg.stepper import Scheme
 
 
 def _areas(m):
@@ -248,25 +248,9 @@ def test_edge_builder_on_perturbed_relabelled_meshes(n, seed):
 
 def _short_run_norms(mesh, case):
     """The six error norms after two steps of each form, k=1."""
-    space = DGSpace.build(mesh, 1)
-    system = assemble_system(space, case.material, alpha0=10.0)
-    norms = []
-    for scheme in Scheme:
-        state = run(
-            scheme,
-            space,
-            system,
-            case.material,
-            T=0.5,
-            dt=0.25,
-            u0=case.displacement_at(0.0),
-            grad_u0=case.grad_displacement_at(0.0),
-            w0=case.velocity_at(0.0),
-            body_force=case.body_force_at,
-            traction=case.traction_at,
-        )
-        norms.append(error_norms(state, case, space, system, dt=0.25).as_row())
-    return np.array(norms)
+    system = assemble_system(DGSpace.build(mesh, 1), case.material, alpha0=10.0)
+    reports = manufactured_reports(system, list(Scheme), [0.25], 0.5)
+    return np.array([reports[scheme, 0.25].as_row() for scheme in Scheme])
 
 
 @settings(max_examples=15, deadline=None)

@@ -539,6 +539,20 @@ def test_advance_rejects_a_state_past_its_initial_level(case, small_setup, monke
         advance(state, op, 0.5)
 
 
+@pytest.mark.parametrize("T", [0.0, 0.5])
+def test_advance_rejects_a_scheme_that_is_not_a_scheme_up_front(case, small_setup, monkeypatch, T):
+    # a name would take the displacement loads and die in the step, or at T=0
+    # come back as the state's scheme
+    _, _, system = small_setup
+    data = case.displacement_at(0.0), case.grad_displacement_at(0.0), case.velocity_at(0.0)
+    state = dataclasses.replace(initialize(system, *data, Scheme.DISPLACEMENT), scheme="velocity")
+    op = StepOperator.build(system, 0.25)
+    monkeypatch.setattr("viscodg.stepper.LoadAssembler", _no_loads)
+    message = "scheme must be Scheme.DISPLACEMENT or Scheme.VELOCITY, got 'velocity'"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        advance(state, op, T)
+
+
 def test_scheme_equivalence_coarse(case, small_setup):
     # both forms discretize the same problem; solutions agree up to O(dt^2)
     _, space, system = small_setup
