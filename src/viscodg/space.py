@@ -19,6 +19,19 @@ import numpy as np
 from .mesh import TriMesh
 
 
+# _basis_coefficients misses V C = I by more than 1e-8 from k = 11 on
+MAX_DEGREE = 10
+
+
+def _check_degree(k: int) -> None:
+    """Raise ValueError unless 1 <= k <= MAX_DEGREE, before any table of degree k
+    is built: the Vandermonde grows as k^4 and the quadrature rules as k^2."""
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k}")
+    if k > MAX_DEGREE:
+        raise ValueError(f"degree k={k} is too high: the basis is built for 1 <= k <= {MAX_DEGREE}")
+
+
 def _lattice_nodes(k: int) -> np.ndarray:
     nodes = [(i / k, j / k) for j in range(k + 1) for i in range(k + 1 - j)]
     return np.array(nodes)
@@ -53,8 +66,7 @@ def reference_basis(k: int, p) -> tuple[np.ndarray, np.ndarray]:
     ``p`` is an array (m, 2) of reference points.  Returns arrays of shape
     (m, nb) and (m, nb, 2) with nb = (k+1)(k+2)/2.
     """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
+    _check_degree(k)
     pts = np.asarray(p, dtype=float)
     exps = _monomial_exponents(k)
     coeffs = _basis_coefficients(k)  # (n_mono, nb) after inversion
@@ -101,8 +113,7 @@ def quadrature_rules(k: int):
     vectors and error norms of smooth non-polynomial data are integrated
     well below the discretization error.
     """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
+    _check_degree(k)
     elem = triangle_quadrature(max(2 * k + 2, 6))
     edge = edge_quadrature(max(2 * k + 3, 7))
     return elem, edge

@@ -2,15 +2,17 @@
 
 The internal-variable updates are linear one-step recurrences, so they are
 eliminated algebraically from the momentum equation.  A step of either form
-then costs a single SPD solve with the time-independent matrix
+then costs a single SPD solve for the increment dU = U1 - U0, with the
+time-independent matrix
 
-    K = (2/dt^2) M + (gamma/2) A + (1/dt) J,
+    K = (2/dt^2) M + (gamma/2) A + (1/dt) J
 
-and the right-hand side
+and the right-hand side, from which K U0 has been subtracted,
 
-    f_avg + M ((2/dt^2) U0 + (2/dt) W0) + A (sum_q s (1 + a_q)/2 z_q - u_w U0) + (1/dt) J U0,
+    f_avg + (2/dt) M W0 + A (sum_q s (1 + a_q)/2 z_q - u_w U0).
 
-followed by the recurrence z_q <- a_q z_q + r_q (U1 + s U0), with
+Then W1 = (2/dt) dU - W0, free of the cancellation in U1 - U0, and
+z_q <- a_q z_q + r_q (U1 + s U0), with
 
     a_q = (2 tau_q - dt) / (2 tau_q + dt),
     b_q = phi_q dt / (2 tau_q + dt),
@@ -21,9 +23,9 @@ as b_q + c_q = phi_q and phi0 + sum_q phi_q = 1 make 1 - sum_q b_q = gamma.
 A ``StepOperator`` holds K for one system and dt, and serves both forms:
 
     both forms    gamma = phi0 + sum_q c_q, one K
-    form          z_q    u_w                   s    r_q
-    displacement  psi_q  gamma/2               +1   b_q
-    velocity      S_q    gamma/2 - sum_q c_q   -1   c_q
+    form          z_q    u_w     s    r_q
+    displacement  psi_q  gamma   +1   b_q
+    velocity      S_q    phi0    -1   c_q
 
 The velocity scheme's exp-decaying load term in u0 is applied as A @ U0,
 which is exact because U0 is the elliptic projection of u0.
@@ -86,8 +88,8 @@ class StepOperator:
         c = 2 * taus * phis / (2 * taus + dt)
         gamma = material.phi0 + c.sum()
         rows = {
-            Scheme.DISPLACEMENT: (b, gamma / 2.0, 1.0),
-            Scheme.VELOCITY: (c, gamma / 2.0 - c.sum(), -1.0),
+            Scheme.DISPLACEMENT: (b, gamma, 1.0),
+            Scheme.VELOCITY: (c, material.phi0, -1.0),
         }
         K = factor(system.combine(2.0 / dt**2, gamma / 2.0, 1.0 / dt))
         return cls(system, dt, a, gamma, rows, K)
@@ -115,7 +117,7 @@ def initialize(system: AssembledSystem, u0, grad_u0, w0, scheme: Scheme) -> Stat
 
 
 def _step(state: State, op: StepOperator, f_avg: np.ndarray, scheme: Scheme) -> State:
-    """One Crank-Nicolson step of either form: one product each with M, A and J."""
+    """One Crank-Nicolson step of either form: two products, M and A, and one solve for dU."""
     if state.scheme != scheme:
         raise ValueError(f"a {scheme.value} step got a {state.scheme.value} state")
     if len(state.internal) != len(op.a):
@@ -127,14 +129,9 @@ def _step(state: State, op: StepOperator, f_avg: np.ndarray, scheme: Scheme) -> 
     stiff = -u_weight * state.U
     for a_q, z in zip(op.a, state.internal):
         stiff += (sign * 0.5 * (1.0 + a_q)) * z
-    rhs = (
-        f_avg
-        + system.M @ ((2.0 / dt**2) * state.U + (2.0 / dt) * state.W)
-        + system.A @ stiff
-        + (1.0 / dt) * (system.J @ state.U)
-    )
-    U1 = op.K.solve(rhs)
-    W1 = (2.0 / dt) * (U1 - state.U) - state.W
+    dU = op.K.solve(f_avg + system.M @ ((2.0 / dt) * state.W) + system.A @ stiff)
+    U1 = state.U + dU
+    W1 = (2.0 / dt) * dU - state.W
     increment = U1 + sign * state.U
     internal = [a_q * z + r_q * increment for a_q, r_q, z in zip(op.a, rate, state.internal)]
     return State(state.n + 1, (state.n + 1) * dt, U1, W1, internal, state.scheme)

@@ -21,6 +21,7 @@ from viscodg.cli import (
     ConfigError,
     StudyConfig,
     _discretization,
+    _project,
     _parse_number,
     main,
     manufactured_reports,
@@ -508,6 +509,8 @@ _REJECTED = [
     ("--study tconv --k 1 --n 2 --dt 1/8,1/4 --T 0.25", "time steps must strictly decrease"),
     # a degree the reference basis cannot represent, refused before any assembly
     ("--study hconv --k 12 --n 1 --dt 1/4 --T 1/4", "degree k=12 is too high"),
+    # checked before the O(k^4) Vandermonde is built
+    ("--study hconv --k 100000 --n 1 --dt 1/4 --T 1/4", "degree k=100000 is too high"),
     ("--study hconv --k 0 --n 1 --dt 1/4 --T 1/4", "polynomial degree must be >= 1, got 0"),
 ]
 
@@ -602,30 +605,60 @@ def test_main_runs_a_tau_whose_inverse_square_overflows(tmp_path, capfd):
     assert CSV_HEADER in captured.out
 
 
-# each failing run names its (n, dt) and what was measured: (2/dt^2) U
-# overflows; the first step's right-hand side overflows, its M term weighted
-# by 2/dt^2 = 2e300; alpha0 = 1e25 leaves A SPD but too badly scaled for SuperLU
+@pytest.mark.parametrize("dt", [1.2e-154, 1e-150])
+def test_main_runs_a_step_whose_2_over_dt_squared_nears_the_float_range(capfd, dt):
+    # the step solves for the increment U1 - U0, so only K carries 2/dt^2: one
+    # step leaves both forms at the errors of the t=0 projection
+    assert main(f"--k 1 --n 2 --dt {dt!r} --T {dt!r}".split()) == 0
+    assert capfd.readouterr().err == ""
+    system = _discretization(StudyConfig(k=1), 2)
+    case, initial = _project(system)
+    expected = error_norms(initial, case, system.space, system).as_row()
+    reports = manufactured_reports(system, list(Scheme), [dt], dt)
+    assert len(reports) == 2
+    for report in reports.values():
+        assert np.allclose(report.as_row(), expected, rtol=1e-12, atol=0.0)
+
+
+# each failing run names its (n, dt) and what was measured: with rho = 100, K's
+# M weight rho 2/dt^2 overflows; with rho = 1e6, the norm of the first step's
+# right-hand side overflows, its M W0 term weighted by rho 2/dt = 2e156;
+# alpha0 = 1e25 leaves A SPD but too badly scaled for SuperLU
 _SOLVER_FAILURES = [
     (
         "--k 1 --n 2 --dt 1.2e-154 --T 1.2e-154",
+        "rho = 100",
         r"alpha0=10\.0, k=1, \(n, dt\) = \(2, 1\.2e-154\)\): overflow encountered in multiply",
     ),
     (
         "--k 1 --n 2 --dt 1e-150 --T 1e-150",
+        "rho = 1e6",
         r"alpha0=10\.0, k=1, \(n, dt\) = \(2, 1e-150\)\):"
         r" right-hand side norm overflows \(max \|b\| = \S+\)",
     ),
     (
         "--k 1 --n 2 --alpha0 1e25 --dt 1/4 --T 1/4",
+        None,
         r"alpha0=1e\+25, k=1, \(n, dt\) = \(2, 0\.25\)\):"
         r" solve residual \S+ exceeds 1e-8: the matrix is not SPD or is too badly scaled",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, message", _SOLVER_FAILURES, ids=[a for a, _ in _SOLVER_FAILURES])
-def test_main_solver_failures_name_the_run_and_the_measured_cause(capfd, args, message):
-    assert main(args.split()) == 3
+@pytest.mark.parametrize(
+    "args, config, message",
+    _SOLVER_FAILURES,
+    ids=[args + (f" with {config}" if config else "") for args, config, _ in _SOLVER_FAILURES],
+)
+def test_main_solver_failures_name_the_run_and_the_measured_cause(
+    tmp_path, capfd, args, config, message
+):
+    argv = args.split()
+    if config is not None:
+        cfgfile = tmp_path / "material.cfg"
+        cfgfile.write_text(config + "\n")
+        argv = ["--config", str(cfgfile)] + argv
+    assert main(argv) == 3
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1
     assert re.fullmatch(r"solver failure \(" + message, lines[0]), lines[0]
@@ -714,7 +747,9 @@ _TAUS_NEAR_ONE = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-7, 1.0
 @example(dt=0.25, steps=1, alpha0=10.0, tau=1.0, n=2)
 # 2 tau overflows: a config error, raised by the material before any run
 @example(dt=0.25, steps=1, alpha0=10.0, tau=9.99e307, n=2)
-# finite coefficients whose products overflow in a run: (2/dt^2) U and c_J J
+# 2/dt^2 near the float range: the step's right-hand side carries no 2/dt^2
+# term, so the first runs; K of the second, with alpha0 = 1e160, is too badly
+# scaled for its solve to pass the residual check
 @example(dt=1.2e-154, steps=1, alpha0=10.0, tau=1.5, n=2)
 @example(dt=1e-150, steps=1, alpha0=1e160, tau=1.5, n=2)
 def test_main_ends_extreme_inputs_with_an_exit_code(tmp_path_factory, dt, steps, alpha0, tau, n):

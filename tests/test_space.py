@@ -6,7 +6,9 @@ from conftest import interpolate, scrambled_mesh_input, space_with_quadrature
 
 from viscodg.mesh import TriMesh, build_structured_mesh
 from viscodg.space import (
+    MAX_DEGREE,
     DGSpace,
+    _basis_coefficients,
     _lattice_nodes,
     edge_quadrature,
     quadrature_rules,
@@ -25,12 +27,29 @@ def test_rejects_degree_zero():
 def test_degrees_up_to_10_build_and_12_is_refused():
     # the lattice Vandermonde inverts to about 1e-9 at k=10 and 1e-7 at k=12,
     # where the basis would miss partition of unity and run with degraded errors
-    for k in range(1, 11):
+    for k in range(1, MAX_DEGREE + 1):
         vals, _ = reference_basis(k, _lattice_nodes(k))
         assert np.abs(vals - np.eye(len(vals))).max() <= 1e-8
+    with pytest.raises(ValueError, match=r"^degree k=12 is too high: .* 1 <= k <= 10$"):
+        reference_basis(12, [[0.3, 0.3]])
+    # the residual check behind the degree limit
     message = r"^degree k=12 is too high for the monomial basis: max\|V C - I\| = \S+ > 1e-8$"
     with pytest.raises(ValueError, match=message):
-        reference_basis(12, [[0.3, 0.3]])
+        _basis_coefficients(12)
+
+
+def test_a_degree_past_the_limit_is_refused_before_any_table(monkeypatch):
+    # a Vandermonde of k = 100000 would need about 10^19 entries
+    def no_table(*args):
+        raise AssertionError("a table of the degree was built")
+
+    for name in ("_basis_coefficients", "_monomial_exponents", "triangle_quadrature"):
+        monkeypatch.setattr(f"viscodg.space.{name}", no_table)
+    mesh = build_structured_mesh(1)
+    with pytest.raises(ValueError, match="degree k=100000 is too high"):
+        reference_basis(100000, [[0.3, 0.3]])
+    with pytest.raises(ValueError, match="degree k=100000 is too high"):
+        DGSpace.build(mesh, 100000)
 
 
 def test_p1_nodal_values():
